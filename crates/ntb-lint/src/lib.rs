@@ -1,9 +1,9 @@
 //! `ntb-lint` — workspace-native static analysis for the NTB/OpenSHMEM
 //! workspace.
 //!
-//! Eight rules, all keyed to the paper's ordered shared-state protocol
+//! Nine rules, all keyed to the paper's ordered shared-state protocol
 //! (ScratchPad publish → doorbell → service-thread consume). Four are
-//! token-level hygiene rules, four are function-granular protocol-
+//! token-level hygiene rules, five are function-granular protocol-
 //! discipline rules built on the [`parse`] module:
 //!
 //! 1. **safety** — every `unsafe` block / fn / impl carries a
@@ -35,6 +35,10 @@
 //!    ladder (`NtbError`/`ShmemError`) must co-occur with pending-entry
 //!    resolution in the same function, or carry a `// RESOLVES(..): why`
 //!    annotation.
+//! 9. **collective-alloc** — no function in `shmem-core`'s
+//!    `collectives.rs` / `teams.rs` calls `malloc*`/`calloc*`/`free*`
+//!    (each is a hidden barrier); scratch comes from the persistent
+//!    collective workspace. `team_split`/`team_destroy` are exempt.
 //!
 //! All rules skip `#[test]` / `#[cfg(test)]` regions. The pass is
 //! deliberately dependency-free (hand-rolled lexer, no `syn`): the
@@ -59,7 +63,8 @@ pub struct Finding {
     /// 1-based line.
     pub line: u32,
     /// Rule id: `safety`, `atomics`, `unwraps`, `locks`, `lockdep-sync`,
-    /// `resolution`, `deadline-clip`, `bounded-wait`, `typed-error`.
+    /// `resolution`, `deadline-clip`, `bounded-wait`, `typed-error`,
+    /// `collective-alloc`.
     pub rule: &'static str,
     /// Human-readable description with the expected annotation.
     pub message: String,
@@ -101,6 +106,8 @@ pub struct ScanStats {
     pub loops_checked: usize,
     /// Failure-variant constructions checked by the typed-error rule.
     pub errors_checked: usize,
+    /// Collective routines checked by the collective-alloc rule.
+    pub collectives_checked: usize,
 }
 
 impl ScanStats {
@@ -112,6 +119,7 @@ impl ScanStats {
         self.waits_checked += other.waits_checked;
         self.loops_checked += other.loops_checked;
         self.errors_checked += other.errors_checked;
+        self.collectives_checked += other.collectives_checked;
     }
 }
 
@@ -120,14 +128,16 @@ impl std::fmt::Display for ScanStats {
         write!(
             f,
             "{} files, {} functions; {} acquires / {} exits paired, \
-             {} waits deadline-checked, {} loops bound-checked, {} error constructions checked",
+             {} waits deadline-checked, {} loops bound-checked, {} error constructions checked, \
+             {} collectives alloc-checked",
             self.files,
             self.functions,
             self.acquires,
             self.exits_checked,
             self.waits_checked,
             self.loops_checked,
-            self.errors_checked
+            self.errors_checked,
+            self.collectives_checked
         )
     }
 }
@@ -343,6 +353,7 @@ pub fn scan_source_with_stats(file: &str, src: &str, mode: FileMode) -> (Vec<Fin
     rules::deadline::run(&ctx, mode, &mut out, &mut stats);
     rules::bounded::run(&ctx, mode, &mut out, &mut stats);
     rules::typederr::run(&ctx, mode, &mut out, &mut stats);
+    rules::collalloc::run(&ctx, mode, &mut out, &mut stats);
     let mut out = dedupe(out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     (out, stats)

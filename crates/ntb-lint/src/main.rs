@@ -130,6 +130,7 @@ fn merge(mut a: ScanStats, b: ScanStats) -> ScanStats {
     a.waits_checked += b.waits_checked;
     a.loops_checked += b.loops_checked;
     a.errors_checked += b.errors_checked;
+    a.collectives_checked += b.collectives_checked;
     a
 }
 
@@ -155,14 +156,15 @@ fn render_json(findings: &[Finding], stats: &ScanStats) -> String {
     s.push_str(&format!(
         "  \"stats\": {{\"files\": {}, \"functions\": {}, \"acquires\": {}, \
          \"exits_checked\": {}, \"waits_checked\": {}, \"loops_checked\": {}, \
-         \"errors_checked\": {}}},\n",
+         \"errors_checked\": {}, \"collectives_checked\": {}}},\n",
         stats.files,
         stats.functions,
         stats.acquires,
         stats.exits_checked,
         stats.waits_checked,
         stats.loops_checked,
-        stats.errors_checked
+        stats.errors_checked,
+        stats.collectives_checked
     ));
     s.push_str(&format!("  \"clean\": {}\n}}", findings.is_empty()));
     s

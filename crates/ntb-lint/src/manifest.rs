@@ -301,7 +301,7 @@ pub const EVENT_PAIRS: &[EventPair] = &[
     EventPair {
         acquire_event: "PutIssue",
         resolve_events: &["PutAcked", "PutAbandon"],
-        resolve_calls: &["ack", "fail", "fail_expired", "fail_dest", "fail_ops_to"],
+        resolve_calls: &["ack", "withdraw", "fail", "fail_expired", "fail_dest", "fail_ops_to"],
     },
     EventPair {
         acquire_event: "GetReqTx",
@@ -356,7 +356,16 @@ pub const CALL_PAIRS: &[CallPair] = &[
         receiver: "unacked",
         method: "register",
         event: "unacked.register",
-        resolutions: &["ack", "fail", "fail_expired", "fail_dest", "fail_ops_to", "quiet", "reset"],
+        resolutions: &[
+            "ack",
+            "withdraw",
+            "fail",
+            "fail_expired",
+            "fail_dest",
+            "fail_ops_to",
+            "quiet",
+            "reset",
+        ],
     },
 ];
 
@@ -466,6 +475,7 @@ pub const RULE_PRECEDENCE: &[&str] = &[
     "deadline-clip",
     "bounded-wait",
     "typed-error",
+    "collective-alloc",
     "locks",
     "lockdep-sync",
     "safety",

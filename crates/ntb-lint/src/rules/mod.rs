@@ -3,10 +3,11 @@
 //! Hygiene rules (token-level): [`safety`], [`atomics`], [`unwraps`],
 //! [`locks`]. Protocol-discipline rules (function-granular, built on
 //! [`crate::parse`]): [`resolution`], [`deadline`], [`bounded`],
-//! [`typederr`]. Shared scoping and annotation-grammar helpers live here.
+//! [`typederr`], [`collalloc`]. Shared scoping and annotation-grammar helpers live here.
 
 pub(crate) mod atomics;
 pub(crate) mod bounded;
+pub(crate) mod collalloc;
 pub(crate) mod deadline;
 pub(crate) mod locks;
 pub(crate) mod resolution;

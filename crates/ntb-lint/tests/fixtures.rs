@@ -104,6 +104,17 @@ fn typederr_fixtures() {
     assert_flags("typederr_tampered.rs", "typed-error", 1);
 }
 
+#[test]
+fn collalloc_fixtures() {
+    assert_clean("collalloc_pass.rs");
+    assert_flags("collalloc_fail.rs", "collective-alloc", 3);
+    let msg = &scan("collalloc_fail.rs")[0].message;
+    assert!(
+        msg.contains("allreduce") && msg.contains("workspace"),
+        "finding names the collective and the fix: {msg}"
+    );
+}
+
 /// The linter's reason to exist: the workspace it ships in stays clean —
 /// and demonstrably *looked at* the protocol surface while doing so.
 /// Walks the real crate tree (two levels up from this crate's manifest)
@@ -125,4 +136,5 @@ fn workspace_self_scan_is_clean_with_evidence() {
     assert!(stats.waits_checked >= 12, "deadline rule checked too few waits: {stats}");
     assert!(stats.loops_checked >= 15, "bounded rule checked too few loops: {stats}");
     assert!(stats.errors_checked >= 15, "typed-error rule checked too few sites: {stats}");
+    assert!(stats.collectives_checked >= 20, "collective-alloc checked too few fns: {stats}");
 }

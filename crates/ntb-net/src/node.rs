@@ -35,7 +35,7 @@ use crate::membership::{
     HB_EPOCH, HB_LIVE, REJOIN_FLAG,
 };
 use crate::pending::{PendingOps, UnackedPuts};
-use crate::slots::TxSlotRing;
+use crate::slots::{RxSlotRing, TxSlotRing};
 use crate::topology::{RingTopology, RouteDirection, Shape, TopoGraph, Topology};
 use crate::trace::{TraceKind, Tracer};
 
@@ -189,6 +189,9 @@ pub struct LinkEndpoint {
     /// Coalescing transmit ring for terminating data frames (`None` when
     /// `NetConfig::coalesce` is off — everything rides the scratchpad).
     pub(crate) txring: Option<TxSlotRing>,
+    /// Drain cursor over the peer's transmit ring into our window
+    /// (service thread only).
+    pub(crate) rx_ring: RxSlotRing,
     /// Observed link health (drives rerouting and recovery probes).
     pub(crate) health: LinkHealthTracker,
     /// Sender-side credit gate for puts staged toward this neighbour:
@@ -358,6 +361,7 @@ impl NtbNode {
                         config.overload.low_watermark,
                     )),
                     txring,
+                    rx_ring: RxSlotRing::default(),
                     health: LinkHealthTracker::new(config.retry.failure_threshold),
                     credit: CreditGate::new(config.overload.credit_window),
                     ledger: CreditLedger::new(config.overload.credit_window),
@@ -378,7 +382,7 @@ impl NtbNode {
             endpoints,
             delivery: RwLock::new(None),
             pending: PendingOps::new(),
-            unacked: UnackedPuts::new(),
+            unacked: UnackedPuts::with_obs(obs.clone()),
             seen_puts: Mutex::new(SeenPuts::default()),
             amo_cache: Mutex::new(AmoCache::default()),
             membership: Membership::new(me, config.hosts),
@@ -1013,9 +1017,7 @@ impl NtbNode {
                 // make the next quiet() re-report it. If the sweeper (or a
                 // racing ack) already retired the id, that path owns the
                 // put's one resolution event — don't emit a second.
-                if self.unacked.ack(put_id) {
-                    self.obs.emit(EventKind::PutAbandon, u64::from(put_id), [1, dest as u64]);
-                }
+                self.unacked.withdraw(put_id);
                 Err(e)
             }
         }
@@ -1765,9 +1767,7 @@ impl NtbNode {
 
     /// Abandon unacked puts and fail pending gets/AMOs targeting `pe`.
     fn fail_ops_to(&self, pe: usize, epoch: u64) {
-        for id in self.unacked.fail_dest(pe, epoch) {
-            self.obs.emit(EventKind::PutAbandon, u64::from(id), [0, pe as u64]);
-        }
+        self.unacked.fail_dest(pe, epoch);
         self.pending.fail_dest(pe, NtbError::PeFailed { pe, epoch });
     }
 
@@ -1912,6 +1912,12 @@ impl NtbNode {
         // in-flight entries.
         self.pending.reset();
         self.unacked.reset();
+        // A batch staged but never flushed carries the dead incarnation's
+        // put ids; the receivers' drain cursors never saw it, so dropping
+        // it (and rewinding) keeps both ends of every ring in step.
+        for ring in self.endpoints.iter().filter_map(|ep| ep.txring.as_ref()) {
+            ring.discard_staged();
+        }
         *self.seen_puts.lock() = SeenPuts::default();
         *self.amo_cache.lock() = AmoCache::default();
         self.membership.reset();

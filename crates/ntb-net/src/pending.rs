@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use ntb_sim::{spin_for, NtbError, Result, TimeModel, TransferMode};
+use ntb_sim::{spin_for, EventKind, NtbError, Obs, Result, TimeModel, TransferMode};
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::RetryPolicy;
@@ -448,6 +448,11 @@ struct PutShard {
 pub struct UnackedPuts {
     shards: [PutShard; SHARD_COUNT],
     next_id: AtomicU32,
+    /// Where each put's resolution event (`PutAcked` / `PutAbandon`)
+    /// goes. It is emitted under the shard lock, before the waiter in
+    /// [`Self::quiet`] can wake, so a trace taken right after `quiet`
+    /// returns always holds it.
+    obs: Obs,
 }
 
 impl Default for UnackedPuts {
@@ -463,7 +468,13 @@ impl UnackedPuts {
             shards: std::array::from_fn(|_| PutShard::default()),
             // Start at 1: put id 0 is reserved for payload-free traffic.
             next_id: AtomicU32::new(1),
+            obs: Obs::off(),
         }
+    }
+
+    /// Empty table that records resolution events to `obs`.
+    pub fn with_obs(obs: Obs) -> Self {
+        UnackedPuts { obs, ..Self::new() }
     }
 
     /// The shard holding `id`'s entry.
@@ -489,17 +500,44 @@ impl UnackedPuts {
         id
     }
 
-    /// Retire a chunk on acknowledgement; `false` if the id was unknown
-    /// (a duplicated ack from a retransmission — harmless).
-    pub fn ack(&self, id: u32) -> bool {
+    /// Remove `id`, let `resolve` update the failure record and name the
+    /// resolution event, and emit that event — all under the shard lock,
+    /// before `quiet` can be woken. `false` if the id was already retired
+    /// (nothing is emitted).
+    fn retire(
+        &self,
+        id: u32,
+        resolve: impl FnOnce(&mut PutState, &UnackedPut) -> (EventKind, [u64; 2]),
+    ) -> bool {
         let shard = self.shard(id);
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         let mut st = shard.state.lock();
-        let known = st.map.remove(&id).is_some();
+        let known = match st.map.remove(&id) {
+            Some(put) => {
+                let (kind, payload) = resolve(&mut st, &put);
+                self.obs.emit(kind, u64::from(id), payload);
+                true
+            }
+            None => false,
+        };
         if st.map.is_empty() {
             shard.cond.notify_all();
         }
         known
+    }
+
+    /// Retire a chunk on acknowledgement (`PutAcked`); `false` if the id
+    /// was unknown (a duplicated ack from a retransmission — harmless).
+    pub fn ack(&self, id: u32) -> bool {
+        self.retire(id, |_, put| (EventKind::PutAcked, [put.dest as u64, 0]))
+    }
+
+    /// Retire a chunk whose first transmission failed with an error the
+    /// caller reports itself: abandoned in the trace, but no failure
+    /// record for the next `quiet` to report twice. `false` if the
+    /// sweeper or a racing ack already retired it.
+    pub fn withdraw(&self, id: u32) -> bool {
+        self.retire(id, |_, put| (EventKind::PutAbandon, [1, put.dest as u64]))
     }
 
     /// Snapshot the entries whose deadline has passed (for the sweeper).
@@ -539,20 +577,10 @@ impl UnackedPuts {
     /// and this call, and an acked put must not be reported as failed
     /// (nor abandoned twice in the trace).
     pub fn fail(&self, id: u32) -> bool {
-        let shard = self.shard(id);
-        crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
-        let mut st = shard.state.lock();
-        let known = match st.map.remove(&id) {
-            Some(put) => {
-                st.failed.push(put.attempts);
-                true
-            }
-            None => false,
-        };
-        if st.map.is_empty() {
-            shard.cond.notify_all();
-        }
-        known
+        self.retire(id, |st, put| {
+            st.failed.push(put.attempts);
+            (EventKind::PutAbandon, [u64::from(put.attempts), put.dest as u64])
+        })
     }
 
     /// Abandon a chunk whose *operation deadline* expired. Like
@@ -561,17 +589,10 @@ impl UnackedPuts {
     /// `LinkFailed`. Returns `false` when the put was already retired
     /// (an ack raced the sweeper).
     pub fn fail_expired(&self, id: u32) -> bool {
-        let shard = self.shard(id);
-        crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
-        let mut st = shard.state.lock();
-        let known = st.map.remove(&id).is_some();
-        if known {
+        self.retire(id, |st, put| {
             st.expired = true;
-        }
-        if st.map.is_empty() {
-            shard.cond.notify_all();
-        }
-        known
+            (EventKind::PutAbandon, [u64::from(put.attempts), put.dest as u64])
+        })
     }
 
     /// Current unacknowledged chunk count.
@@ -623,8 +644,8 @@ impl UnackedPuts {
     }
 
     /// Abandon every unacked put destined for `pe` — the failure detector
-    /// confirmed it dead at `epoch`, so no ack will ever come. Returns the
-    /// abandoned put ids (for `PutAbandon` trace emission). The next
+    /// confirmed it dead at `epoch`, so no ack will ever come. Each is
+    /// recorded as `PutAbandon`; returns their ids. The next
     /// [`Self::quiet`] reports [`NtbError::PeFailed`].
     pub fn fail_dest(&self, pe: usize, epoch: u64) -> Vec<u32> {
         let mut ids = Vec::new();
@@ -636,8 +657,9 @@ impl UnackedPuts {
             if doomed.is_empty() {
                 continue;
             }
-            for id in &doomed {
-                st.map.remove(id);
+            for &id in &doomed {
+                st.map.remove(&id);
+                self.obs.emit(EventKind::PutAbandon, u64::from(id), [0, pe as u64]);
             }
             st.dead = Some((pe, epoch));
             if st.map.is_empty() {

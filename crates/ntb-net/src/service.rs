@@ -38,7 +38,7 @@ use crate::frame::{Frame, FrameKind};
 use crate::membership::{rejoin_signature, BeatMonitor, BeatVerdict, REJOIN_FLAG};
 use crate::node::NtbNode;
 use crate::pending::FillOutcome;
-use crate::slots::{self, SlotRead};
+use crate::slots::SlotRead;
 use crate::trace::TraceKind;
 
 /// How long the service loop sleeps between shutdown-flag checks when the
@@ -379,9 +379,10 @@ fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option
 /// ring. One coalesced doorbell (or one idle tick) drains the whole
 /// batch.
 ///
-/// Every pass scans *all* slots rather than walking a cursor: a
-/// corrupted record is consumed without dispatch, and a cursor would
-/// wedge on the hole it leaves while later slots hold live frames.
+/// Slots are consumed in publish order from the endpoint's head cursor,
+/// stopping at the first empty slot, so frames from one sender dispatch
+/// in the order it published them. A corrupted record is consumed
+/// without dispatch and the cursor moves past it.
 fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
     if !node.layout.has_ring() {
         return;
@@ -392,102 +393,78 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
     // exactly when our outgoing half reports an active plan.
     let check_crc = ep.port().outgoing().faults().is_active();
     loop {
-        let mut progressed = false;
-        for slot in 0..node.layout.ring_slots {
-            match slots::read_slot(region, &node.layout, slot, check_crc) {
-                Ok(SlotRead::Empty) => {}
-                Ok(SlotRead::Corrupt) => {
-                    // Consume without dispatch (and without a SlotDrain
-                    // event — a corrupted record's sequence number cannot
-                    // be trusted to pair with any publish); the sender's
-                    // end-to-end retransmission recovers the frame.
-                    if let Err(e) = slots::consume_slot(region, &node.layout, slot) {
-                        node.record_error(e);
-                        return;
-                    }
-                    progressed = true;
-                    node.count_checksum_reject();
-                    node.metrics.bump_link(ep.link_idx(), |l| &l.crc_rejects);
-                    ep.obs.emit(EventKind::CrcReject, 0, [ep.neighbor() as u64, u64::from(slot)]);
-                }
-                Ok(SlotRead::Frame(drained)) => {
-                    // The record and payload are already copied out;
-                    // zeroing the header frees the slot for the sender's
-                    // next wraparound before dispatch work begins.
-                    if let Err(e) = slots::consume_slot(region, &node.layout, slot) {
-                        node.record_error(e);
-                        return;
-                    }
-                    progressed = true;
-                    let frame = drained.frame;
-                    if frame.dest >= node.num_hosts() || frame.src >= node.num_hosts() {
-                        // Out-of-world routing fields (possible on an
-                        // unchecked link, where no CRC arms): drop instead
-                        // of panicking the router — but *visibly*, as a
-                        // counted router drop, not a silent discard.
-                        node.count_router_drop(ep, u64::from(frame.aux), frame.dest as u64, 1);
-                        continue;
-                    }
-                    ep.obs.emit(
-                        EventKind::SlotDrain,
-                        u64::from(drained.slot_seq),
-                        [ep.neighbor() as u64, u64::from(drained.slot_idx)],
-                    );
-                    node.count_frame();
-                    node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
-                    ep.obs.emit(
-                        EventKind::FrameRx,
-                        u64::from(frame.aux),
-                        [frame.kind as u64, frame.src as u64],
-                    );
-                    node.metrics.bump_link(ep.link_idx(), |l| &l.frames_rx);
-                    // Same first-hop credit and deadline plumbing as the
-                    // scratchpad path (the ring is just a batched lane
-                    // over the same cable).
-                    if frame.kind == FrameKind::Put && frame.src == ep.neighbor() {
-                        node.grant_credits(ep, 1);
-                    }
-                    if frame.kind == FrameKind::PutAck
-                        && frame.src == ep.neighbor()
-                        && frame.offset != 0
-                    {
-                        ep.credit.advertise(u64::from(frame.offset));
-                    }
-                    let now = node.now_us();
-                    if frame.deadline_expired(now) {
-                        node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
-                        ep.obs.emit(
-                            EventKind::DeadlineShed,
-                            u64::from(frame.aux),
-                            [u64::from(frame.deadline_us), u64::from(now)],
-                        );
-                        continue;
-                    }
-                    if let Some(data) = &drained.payload {
-                        node.model().delay(node.model().window_copy_time(data.len() as u64));
-                    }
-                    let result = if frame.dest == node.host_id() {
-                        dispatch_frame(node, frame, drained.payload)
-                    } else {
-                        // Routed slot frames are the normal case on
-                        // multi-hop shapes: small chunks ride the ring on
-                        // every hop, and intermediate hosts route them
-                        // onward exactly like mailbox frames.
-                        forward_onward(node, idx, frame, drained.payload);
-                        Ok(())
-                    };
-                    if let Err(e) = result {
-                        node.record_error(e);
-                    }
-                }
-                Err(e) => {
-                    node.record_error(e);
-                    return;
-                }
+        let drained = match ep.rx_ring.pop(region, &node.layout, check_crc) {
+            Ok(Some(SlotRead::Frame(drained))) => drained,
+            Ok(Some(SlotRead::Corrupt(slot))) => {
+                // Consumed without dispatch (and without a SlotDrain
+                // event — a corrupted record's sequence number cannot be
+                // trusted to pair with any publish); the sender's
+                // end-to-end retransmission recovers the frame.
+                node.count_checksum_reject();
+                node.metrics.bump_link(ep.link_idx(), |l| &l.crc_rejects);
+                ep.obs.emit(EventKind::CrcReject, 0, [ep.neighbor() as u64, u64::from(slot)]);
+                continue;
             }
+            Ok(Some(SlotRead::Empty) | None) => return,
+            Err(e) => {
+                node.record_error(e);
+                return;
+            }
+        };
+        let frame = drained.frame;
+        if frame.dest >= node.num_hosts() || frame.src >= node.num_hosts() {
+            // Out-of-world routing fields (possible on an unchecked link,
+            // where no CRC arms): drop instead of panicking the router —
+            // but *visibly*, as a counted router drop, not a silent
+            // discard.
+            node.count_router_drop(ep, u64::from(frame.aux), frame.dest as u64, 1);
+            continue;
         }
-        if !progressed {
-            break;
+        ep.obs.emit(
+            EventKind::SlotDrain,
+            u64::from(drained.slot_seq),
+            [ep.neighbor() as u64, u64::from(drained.slot_idx)],
+        );
+        node.count_frame();
+        node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
+        ep.obs.emit(
+            EventKind::FrameRx,
+            u64::from(frame.aux),
+            [frame.kind as u64, frame.src as u64],
+        );
+        node.metrics.bump_link(ep.link_idx(), |l| &l.frames_rx);
+        // Same first-hop credit and deadline plumbing as the scratchpad
+        // path (the ring is just a batched lane over the same cable).
+        if frame.kind == FrameKind::Put && frame.src == ep.neighbor() {
+            node.grant_credits(ep, 1);
+        }
+        if frame.kind == FrameKind::PutAck && frame.src == ep.neighbor() && frame.offset != 0 {
+            ep.credit.advertise(u64::from(frame.offset));
+        }
+        let now = node.now_us();
+        if frame.deadline_expired(now) {
+            node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
+            ep.obs.emit(
+                EventKind::DeadlineShed,
+                u64::from(frame.aux),
+                [u64::from(frame.deadline_us), u64::from(now)],
+            );
+            continue;
+        }
+        if let Some(data) = &drained.payload {
+            node.model().delay(node.model().window_copy_time(data.len() as u64));
+        }
+        let result = if frame.dest == node.host_id() {
+            dispatch_frame(node, frame, drained.payload)
+        } else {
+            // Routed slot frames are the normal case on multi-hop shapes:
+            // small chunks ride the ring on every hop, and intermediate
+            // hosts route them onward exactly like mailbox frames.
+            forward_onward(node, idx, frame, drained.payload);
+            Ok(())
+        };
+        if let Err(e) = result {
+            node.record_error(e);
         }
     }
 }
@@ -552,7 +529,6 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             node.obs.emit(EventKind::AckRx, u64::from(frame.aux), [frame.src as u64, 0]);
             if node.unacked.ack(frame.aux) {
                 node.count_ack();
-                node.obs.emit(EventKind::PutAcked, u64::from(frame.aux), [frame.src as u64, 0]);
                 node.trace(TraceKind::AckReceived, frame.src, frame.dest, 0);
             } else {
                 // The put was already retired by an earlier copy of this
@@ -873,6 +849,8 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             // caller set a time budget and it was missed.
             let now_us = node.now_us();
             if put.deadline_us != 0 && now_us > put.deadline_us {
+                // The shed *is* this put's one resolution: fail_expired
+                // records it as `PutAbandon` for invariant 1.
                 if node.unacked.fail_expired(id) {
                     let ep = node.endpoint_for(put.dest);
                     node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
@@ -880,14 +858,6 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                         EventKind::DeadlineShed,
                         u64::from(id),
                         [u64::from(put.deadline_us), u64::from(now_us)],
-                    );
-                    // The shed *is* this put's one resolution — record it
-                    // for invariant 1 (put-resolution) like every other
-                    // abandon path.
-                    node.obs.emit(
-                        EventKind::PutAbandon,
-                        u64::from(id),
-                        [u64::from(put.attempts), put.dest as u64],
                     );
                 }
                 continue;
@@ -898,13 +868,7 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                 // landed since the overdue snapshot — then fail() is a
                 // no-op and the put already resolved as acked, so no
                 // abandon is recorded or emitted.
-                if node.unacked.fail(id) {
-                    node.obs.emit(
-                        EventKind::PutAbandon,
-                        u64::from(id),
-                        [u64::from(put.attempts), put.dest as u64],
-                    );
-                }
+                node.unacked.fail(id);
                 continue;
             }
             let next = Instant::now() + policy.ack_timeout + policy.backoff(put.attempts - 1);

@@ -18,21 +18,34 @@
 //!   the crossover threshold, large ones as one chained DMA submission
 //!   with a single completion), every staged header is published and ONE
 //!   `DB_DMAPUT` doorbell covers the whole batch.
-//! * The receiver's service thread drains **all** pending slots per
-//!   interrupt, zeroing each header as the per-slot acknowledgement; the
-//!   sender polls a slot's header back to zero (a non-posted read)
-//!   before reusing it, so flow control needs no reverse channel.
+//! * The receiver's service thread drains every pending slot per
+//!   interrupt **in publish order** ([`RxSlotRing`]): it starts at its
+//!   head cursor and stops at the first empty slot, zeroing each header
+//!   as the per-slot acknowledgement. The sender polls a slot's header
+//!   back to zero (a non-posted read) before reusing it, so flow control
+//!   needs no reverse channel.
+//! * Both sides walk the same cursor sequence (`slot = cursor %
+//!   ring_slots`), so the ring is a FIFO lane: frames one sender publishes
+//!   on one link are dispatched in the order they were published, so
+//!   the last of several puts to one address wins. (This orders frames
+//!   over one link, not end to end: a forwarding host may requeue or
+//!   shed a frame, and a corrupted one is retransmitted late.) The
+//!   sender never leaves a gap behind its cursor: a publish that fails
+//!   does not advance it, and a flush that withholds headers rewinds it
+//!   to the first withheld slot.
 //!
 //! Loss tolerance mirrors the scratchpad path: a swallowed doorbell is
 //! recovered by the sender's bounded re-ring and the receiver's idle
 //! poll; a corrupted record or payload fails the per-slot CRC (armed only
 //! when the link has an active fault plan) and is consumed without
-//! dispatch, leaving recovery to end-to-end retransmission. The ring
-//! deliberately enforces no sequence-gap invariant — slots can be
-//! legitimately lost under fault injection, and the unacked-put ledger
-//! already provides exactly-once delivery.
+//! dispatch, leaving recovery to end-to-end retransmission. A header
+//! zeroed in flight (a flipped byte on an otherwise one-byte header)
+//! reads as an empty slot and parks the receiver's cursor there; the
+//! sender sees the same slot free, and its next lap's publish fills the
+//! hole and restarts the drain. The unacked-put ledger provides
+//! exactly-once delivery for whatever a fault drops.
 
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,11 +76,10 @@ struct StagedSlot {
 
 #[derive(Debug, Default)]
 struct TxState {
-    /// Round-robin slot cursor (monotonic; slot = cursor % ring_slots).
+    /// Slot cursor of the next publish (slot = cursor % ring_slots). It
+    /// doubles as the slot sequence number that rides the record, so
+    /// publish and drain events pair up in the trace.
     cursor: u32,
-    /// Monotonic slot sequence; rides the record so publish and drain
-    /// events pair up in the trace.
-    slot_seq: u32,
     /// Frames staged since the last flush, in publish order.
     staged: Vec<StagedSlot>,
     /// DMA descriptors accumulated for the batch's large payloads;
@@ -207,13 +219,12 @@ impl TxSlotRing {
         if st.staged.len() as u32 >= self.batch_cap {
             self.flush_locked(&mut st)?;
         }
-        let idx = st.cursor % self.layout.ring_slots;
+        let seq = st.cursor;
+        let idx = seq % self.layout.ring_slots;
         self.wait_slot_free(idx)?;
-        st.cursor = st.cursor.wrapping_add(1);
-        let seq = st.slot_seq;
-        st.slot_seq = st.slot_seq.wrapping_add(1);
         frame.seq = seq as u16;
         let words = frame.encode();
+        let mut dma = None;
         if !data.is_empty() {
             let lane = self.layout.ring_lane_off(idx);
             if frame.mode == TransferMode::Memcpy || data.len() as u64 <= self.pio_crossover {
@@ -224,7 +235,7 @@ impl TxSlotRing {
                 let staging = Region::anonymous(data.len() as u64);
                 staging.write(0, data)?;
                 self.model.delay(self.model.local_copy_time(data.len() as u64));
-                st.dma_reqs.push(DmaRequest {
+                dma = Some(DmaRequest {
                     src: staging,
                     src_offset: 0,
                     dst_offset: lane,
@@ -255,9 +266,34 @@ impl TxSlotRing {
             &body,
             TransferMode::Memcpy,
         )?;
+        // The slot is staged only once every write succeeded: a failed
+        // publish leaves the cursor where it was, so no gap opens.
+        st.dma_reqs.extend(dma);
+        st.cursor = seq.wrapping_add(1);
         st.staged.push(StagedSlot { idx, header: words[0], seq });
         self.obs.emit(EventKind::SlotPublish, u64::from(seq), [data.len() as u64, u64::from(idx)]);
         Ok(())
+    }
+
+    /// Drop the staged batch without publishing it and rewind the cursor
+    /// to its first slot. A restarting node calls this: the batch belongs
+    /// to the crashed incarnation, whose put ids the new one reuses.
+    pub fn discard_staged(&self) {
+        crate::lockdep_track!(&crate::lockdep::NET_TXRING);
+        let mut st = self.state.lock();
+        Self::withhold(&mut st, 0);
+    }
+
+    /// Give up on `st.staged[from..]`: their headers were never written,
+    /// so rewinding the cursor to the first of them keeps the published
+    /// sequence gap-free (the receiver's cursor would otherwise park on
+    /// the empty slot forever).
+    fn withhold(st: &mut TxState, from: usize) {
+        if let Some(first) = st.staged.get(from) {
+            st.cursor = first.seq;
+        }
+        st.staged.clear();
+        st.dma_reqs.clear();
     }
 
     /// Publish the staged batch: submit the accumulated DMA chain (one
@@ -279,16 +315,16 @@ impl TxSlotRing {
         if !reqs.is_empty() {
             if let Err(e) = self.port.dma_transfer_chain(reqs) {
                 // No header was written: every staged slot still reads
-                // zero at the receiver and stays reusable.
-                st.staged.clear();
+                // zero at the receiver and is reused from the rewound
+                // cursor.
+                Self::withhold(st, 0);
                 return Err(e);
             }
         }
-        let staged = std::mem::take(&mut st.staged);
-        let first = staged[0].seq;
-        let mut written: u32 = 0;
+        let first = st.staged[0].seq;
+        let mut written = 0usize;
         let mut err: Option<NtbError> = None;
-        for s in &staged {
+        for s in &st.staged {
             match self.port.outgoing().write_bytes(
                 self.layout.ring_slot_off(s.idx),
                 &s.header.to_le_bytes(),
@@ -304,13 +340,14 @@ impl TxSlotRing {
                 }
             }
         }
+        Self::withhold(st, written);
         if written > 0 {
             match self.port.ring_peer(DB_DMAPUT) {
                 Ok(()) => {
                     self.obs.emit(
                         EventKind::DoorbellCoalesce,
                         u64::from(first),
-                        [u64::from(written), 0],
+                        [written as u64, 0],
                     );
                 }
                 // Published frames without a ring are still recovered by
@@ -355,8 +392,9 @@ pub enum SlotRead {
     /// Header is zero: nothing published (or already consumed).
     Empty,
     /// Header non-zero but the record failed to decode or its CRC did
-    /// not match; the slot must be consumed without dispatch.
-    Corrupt,
+    /// not match; the slot (index carried) must be consumed without
+    /// dispatch.
+    Corrupt(u32),
     /// A complete frame.
     Frame(DrainedSlot),
 }
@@ -384,14 +422,14 @@ pub fn read_slot(
     let (len_w, offset_w, aux_w, slot_seq, deadline_us, stored_crc) =
         (word(0), word(1), word(2), word(3), word(4), word(5));
     let Some(frame) = Frame::decode([header, len_w, offset_w, aux_w]) else {
-        return Ok(SlotRead::Corrupt);
+        return Ok(SlotRead::Corrupt(idx));
     };
     let frame = frame.with_deadline_us(deadline_us);
     let payload = if frame.kind.has_payload() && frame.len > 0 {
         if u64::from(frame.len) > layout.ring_lane {
             // A corrupted length must not trigger an out-of-bounds lane
             // read; treat it like any other integrity failure.
-            return Ok(SlotRead::Corrupt);
+            return Ok(SlotRead::Corrupt(idx));
         }
         Some(region.read_vec(layout.ring_lane_off(idx), u64::from(frame.len))?)
     } else {
@@ -405,7 +443,7 @@ pub fn read_slot(
             }
         }
         if crc != stored_crc {
-            return Ok(SlotRead::Corrupt);
+            return Ok(SlotRead::Corrupt(idx));
         }
     }
     Ok(SlotRead::Frame(DrainedSlot { frame, payload, slot_idx: idx, slot_seq }))
@@ -425,6 +463,39 @@ fn slot_crc(header: u32, body: &[u8]) -> u32 {
 /// incoming region, freeing it for the sender's next wraparound.
 pub fn consume_slot(region: &Region, layout: &WindowLayout, idx: u32) -> Result<()> {
     region.write(layout.ring_slot_off(idx), &0u32.to_le_bytes())
+}
+
+/// The receive side of one link direction's slot ring: a head cursor
+/// that walks the slots in the order the sender's cursor published them.
+#[derive(Debug, Default)]
+pub struct RxSlotRing {
+    head: AtomicU32,
+}
+
+impl RxSlotRing {
+    /// Consume the slot at the head and advance past it; `None` at the
+    /// first empty slot, which ends the drain pass. Only the endpoint's
+    /// service thread pops, so the head needs no lock.
+    pub fn pop(
+        &self,
+        region: &Region,
+        layout: &WindowLayout,
+        check_crc: bool,
+    ) -> Result<Option<SlotRead>> {
+        // lint: relaxed-ok(single consumer: only this endpoint's service thread moves the head)
+        let head = self.head.load(Ordering::Relaxed);
+        let idx = head % layout.ring_slots;
+        let read = read_slot(region, layout, idx, check_crc)?;
+        if matches!(read, SlotRead::Empty) {
+            return Ok(None);
+        }
+        // The record and payload are already copied out; zeroing the
+        // header frees the slot for the sender's next lap.
+        consume_slot(region, layout, idx)?;
+        // lint: relaxed-ok(single consumer, as above)
+        self.head.store(head.wrapping_add(1), Ordering::Relaxed);
+        Ok(Some(read))
+    }
 }
 
 #[cfg(test)]
@@ -559,6 +630,84 @@ mod tests {
         assert_eq!(s.frame.aux, 9);
     }
 
+    /// Drain `rx` until the first empty slot, returning the frames' aux
+    /// words in dispatch order.
+    fn drain_auxes(rx: &RxSlotRing, region: &Region, layout: &WindowLayout) -> Vec<u32> {
+        let mut auxes = vec![];
+        while let Some(read) = rx.pop(region, layout, false).unwrap() {
+            let SlotRead::Frame(s) = read else { panic!("unexpected {read:?}") };
+            auxes.push(s.frame.aux);
+        }
+        auxes
+    }
+
+    #[test]
+    fn wrapped_batch_drains_in_publish_order() {
+        let cfg = small_cfg();
+        let (a, b, layout) = ring_pair(&cfg);
+        let tx = tx_ring(&a, layout, &cfg);
+        let rx = RxSlotRing::default();
+        let region = b.incoming().region();
+        // Move both cursors to slot 2 of the 4-slot ring.
+        for aux in [1, 2] {
+            tx.publish(Frame::put(0, 1, 0, 0, aux, TransferMode::Memcpy), None).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain_auxes(&rx, region, &layout), vec![1, 2]);
+        // This batch wraps: slots 2, 3, 0, 1. An index-order scan would
+        // dispatch 5, 6, 3, 4.
+        for aux in 3..=6 {
+            tx.publish(Frame::put(0, 1, 0, 0, aux, TransferMode::Memcpy), None).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain_auxes(&rx, region, &layout), vec![3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn failed_flush_rewinds_so_the_lane_does_not_stall() {
+        let mut cfg = small_cfg();
+        cfg.pio_crossover = 16; // 64-byte payloads ride the DMA chain
+        let (a, b, layout) = ring_pair(&cfg);
+        let tx = tx_ring(&a, layout, &cfg);
+        let rx = RxSlotRing::default();
+        let region = b.incoming().region();
+        tx.publish(Frame::put(0, 1, 64, 0, 1, TransferMode::Dma), Some(&[0xAA; 64])).unwrap();
+        tx.publish(Frame::put(0, 1, 64, 64, 2, TransferMode::Dma), Some(&[0xBB; 64])).unwrap();
+        // The DMA engine dies under the batch: no header is written.
+        a.kill();
+        assert!(tx.flush().is_err());
+        assert_eq!(tx.staged(), 0);
+        assert!(drain_auxes(&rx, region, &layout).is_empty());
+        a.revive();
+        // The next frames reuse the withheld slots, so the receiver's
+        // cursor (still at slot 0) finds them instead of a hole.
+        for aux in [3, 4, 5] {
+            tx.publish(Frame::put(0, 1, 0, 0, aux, TransferMode::Memcpy), None).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain_auxes(&rx, region, &layout), vec![3, 4, 5]);
+        // And the lane keeps flowing across the next wrap.
+        for aux in 6..=9 {
+            tx.publish(Frame::put(0, 1, 0, 0, aux, TransferMode::Memcpy), None).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain_auxes(&rx, region, &layout), vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn discarded_batch_leaves_no_hole() {
+        let cfg = small_cfg();
+        let (a, b, layout) = ring_pair(&cfg);
+        let tx = tx_ring(&a, layout, &cfg);
+        let rx = RxSlotRing::default();
+        let region = b.incoming().region();
+        tx.publish(Frame::put(0, 1, 0, 0, 1, TransferMode::Memcpy), None).unwrap();
+        tx.discard_staged();
+        tx.publish(Frame::put(0, 1, 0, 0, 2, TransferMode::Memcpy), None).unwrap();
+        tx.flush().unwrap();
+        assert_eq!(drain_auxes(&rx, region, &layout), vec![2]);
+    }
+
     #[test]
     fn large_payload_rides_the_dma_chain() {
         let mut cfg = small_cfg();
@@ -609,7 +758,7 @@ mod tests {
         // corruption that still decodes).
         let huge = (layout.ring_lane as u32 + 64).to_le_bytes();
         region.write(layout.ring_slot_off(0) + BODY_OFF, &huge).unwrap();
-        assert!(matches!(read_slot(region, &layout, 0, false).unwrap(), SlotRead::Corrupt));
+        assert!(matches!(read_slot(region, &layout, 0, false).unwrap(), SlotRead::Corrupt(0)));
     }
 
     #[test]
@@ -623,6 +772,6 @@ mod tests {
         // The clean-link sender left the CRC word zero, so a checked read
         // against real contents fails — stand-in for a flipped payload
         // byte on a faulty link.
-        assert!(matches!(read_slot(region, &layout, 0, true).unwrap(), SlotRead::Corrupt));
+        assert!(matches!(read_slot(region, &layout, 0, true).unwrap(), SlotRead::Corrupt(0)));
     }
 }

@@ -11,11 +11,13 @@
 //!   anchors the switch-like upper bound,
 //! * binomial-tree broadcast and tree allreduce latency on the same
 //!   dissemination cells,
-//! * two regression gates: the 64-PE torus dissemination barrier must
-//!   stay within [`TORUS_64V8_MAX_RATIO`]× of its 8-PE latency, and at
+//! * three regression gates: the 64-PE torus dissemination barrier must
+//!   stay within [`TORUS_64V8_MAX_RATIO`]× of its 8-PE latency; at
 //!   16 PEs the dissemination barrier on the densest cabling the
 //!   adapter budget allows (the clique) must strictly beat the paper's
-//!   two-sweep ring barrier.
+//!   two-sweep ring barrier; and the 64-PE torus tree allreduce must
+//!   stay within
+//!   [`TORUS_64_ALLREDUCE_MAX_RATIO`]× of that cell's barrier.
 //!
 //! The torus gate is the scaling claim: dissemination rounds cost the
 //! hop distance of the round's partner, and on a torus the per-round hop
@@ -51,6 +53,12 @@ use shmem_core::{BarrierAlgorithm, ReduceOp, ShmemConfig, ShmemWorld, Topology};
 /// of the 8-PE torus barrier.
 pub const TORUS_64V8_MAX_RATIO: f64 = 4.0;
 
+/// The 64-PE torus tree allreduce may cost at most this multiple of the
+/// same cell's dissemination barrier: a log-depth allreduce over the
+/// persistent collective workspace is signal rounds only (10.5× while
+/// every call allocated and freed its scratch, four barriers each way).
+pub const TORUS_64_ALLREDUCE_MAX_RATIO: f64 = 3.0;
+
 /// Parameters of the scale run.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
@@ -66,7 +74,8 @@ pub struct ScaleConfig {
     /// per cell from the critical-path hop count. See the module docs.
     pub amplification: Option<f64>,
     /// Also measure tree broadcast/allreduce on dissemination cells.
-    /// The gates only need barriers; the CI gate run turns this off.
+    /// The allreduce gate needs the 64-PE torus cell's tree allreduce, so
+    /// a sweep with this off cannot pass the gates.
     pub measure_trees: bool,
 }
 
@@ -173,6 +182,8 @@ pub struct ScaleGates {
     pub ring_sweep_16_us: Option<f64>,
     /// 16-PE clique dissemination barrier p50 (µs).
     pub clique_16_us: Option<f64>,
+    /// 64-PE torus tree allreduce p50 (µs), if the trees were measured.
+    pub torus_64_allreduce_us: Option<f64>,
 }
 
 /// Result of a full scale sweep.
@@ -267,18 +278,17 @@ fn run_cell(
     let label = topology.label();
     let barrier_cp = barrier_cp_estimate(&topology, pes, algorithm);
     let amp_b = cfg.amplification.unwrap_or_else(|| auto_amplification(cfg, barrier_cp, pes));
-    let results =
-        ShmemWorld::run(world_cfg(cfg, pes, topology, algorithm, amp_b), move |ctx| {
-            ctx.barrier_all().expect("warm-up barrier");
-            let mut barrier = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                ctx.barrier_all().expect("timed barrier");
-                barrier.push(t0.elapsed());
-            }
-            barrier
-        })
-        .expect("scale world");
+    let results = ShmemWorld::run(world_cfg(cfg, pes, topology, algorithm, amp_b), move |ctx| {
+        ctx.barrier_all().expect("warm-up barrier");
+        let mut barrier = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            ctx.barrier_all().expect("timed barrier");
+            barrier.push(t0.elapsed());
+        }
+        barrier
+    })
+    .expect("scale world");
     let barrier = &results[0];
     let (mut bcast_p50, mut reduce_p50) = (None, None);
     if trees {
@@ -329,17 +339,26 @@ fn run_cell(
 
 impl ScaleGates {
     fn from_points(points: &[ScalePoint]) -> ScaleGates {
+        let cell = |shape: &str, algorithm: &str, pes: usize| {
+            points.iter().find(|p| p.shape == shape && p.algorithm == algorithm && p.pes == pes)
+        };
         let find = |shape: &str, algorithm: &str, pes: usize| {
-            points
-                .iter()
-                .find(|p| p.shape == shape && p.algorithm == algorithm && p.pes == pes)
-                .map(|p| p.barrier_p50_us)
+            cell(shape, algorithm, pes).map(|p| p.barrier_p50_us)
         };
         ScaleGates {
             torus_8_us: find("torus", "dissemination", 8),
             torus_64_us: find("torus", "dissemination", 64),
             ring_sweep_16_us: find("ring", "ring-sweep", 16),
             clique_16_us: find("clique", "dissemination", 16),
+            torus_64_allreduce_us: cell("torus", "dissemination", 64).and_then(|p| p.reduce_p50_us),
+        }
+    }
+
+    /// 64-PE torus tree-allreduce-to-barrier ratio, if the trees ran.
+    pub fn torus_64_allreduce_ratio(&self) -> Option<f64> {
+        match (self.torus_64_us, self.torus_64_allreduce_us) {
+            (Some(b), Some(r)) if b > 0.0 => Some(r / b),
+            _ => None,
         }
     }
 
@@ -387,7 +406,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
 }
 
 impl ScaleResult {
-    /// Check both regression gates; `Err` describes the first failure.
+    /// Check the regression gates; `Err` describes the first failure.
     pub fn check_gates(&self) -> Result<(), String> {
         let ratio = self
             .gates
@@ -413,6 +432,16 @@ impl ScaleResult {
             return Err(format!(
                 "dissemination barrier ({diss:.1} µs on the 16-PE clique) did not beat \
                  the two-sweep ring barrier ({sweep:.1} µs) at 16 PEs"
+            ));
+        }
+        let r = self
+            .gates
+            .torus_64_allreduce_ratio()
+            .ok_or("gate cell missing: tree allreduce on the 64-PE torus")?;
+        if r > TORUS_64_ALLREDUCE_MAX_RATIO {
+            return Err(format!(
+                "64-PE torus tree allreduce costs {r:.2}x its barrier \
+                 (max {TORUS_64_ALLREDUCE_MAX_RATIO:.1}x)"
             ));
         }
         Ok(())
@@ -449,6 +478,12 @@ impl ScaleResult {
         if let (Some(s), Some(d)) = (self.gates.ring_sweep_16_us, self.gates.clique_16_us) {
             out.push_str(&format!(
                 "  16-PE barrier: clique dissemination {d:.1} µs vs ring two-sweep {s:.1} µs\n"
+            ));
+        }
+        if let Some(r) = self.gates.torus_64_allreduce_ratio() {
+            out.push_str(&format!(
+                "  64-PE torus tree allreduce vs barrier: {r:.2}x \
+                 (max {TORUS_64_ALLREDUCE_MAX_RATIO:.1}x)\n"
             ));
         }
         out
@@ -488,6 +523,9 @@ impl ScaleResult {
              \"torus_64_vs_8_max_ratio\": {TORUS_64V8_MAX_RATIO:.1},\n    \
              \"ring_sweep_p50_us_16\": {},\n    \
              \"clique_dissemination_p50_us_16\": {},\n    \
+             \"torus_tree_allreduce_p50_us_64\": {},\n    \
+             \"torus_64_allreduce_vs_barrier_ratio\": {},\n    \
+             \"torus_64_allreduce_max_ratio\": {TORUS_64_ALLREDUCE_MAX_RATIO:.1},\n    \
              \"gates_pass\": {}\n  }}\n}}\n",
             points.join(",\n"),
             opt(self.gates.torus_8_us),
@@ -495,6 +533,8 @@ impl ScaleResult {
             opt(self.gates.torus_64v8_ratio()),
             opt(self.gates.ring_sweep_16_us),
             opt(self.gates.clique_16_us),
+            opt(self.gates.torus_64_allreduce_us),
+            opt(self.gates.torus_64_allreduce_ratio()),
             self.check_gates().is_ok(),
         )
     }
@@ -574,7 +614,7 @@ mod tests {
                 reps: 6,
                 broadcast_elems: 16,
                 amplification: None,
-                measure_trees: false,
+                measure_trees: true,
             };
             run_scale(&cfg).check_gates()
         });
@@ -624,9 +664,11 @@ mod tests {
                 torus_64_us: Some(30.0),
                 ring_sweep_16_us: Some(100.0),
                 clique_16_us: Some(20.0),
+                torus_64_allreduce_us: Some(60.0),
             },
         };
         let json = r.to_json();
+        assert!(json.contains("\"torus_64_allreduce_vs_barrier_ratio\": 2.000"));
         assert!(json.contains("\"torus_64_vs_8_ratio\": 3.000"));
         assert!(json.contains("\"clique_dissemination_p50_us_16\": 20.000"));
         assert!(json.contains("\"torus_64_vs_8_max_ratio\": 4.0"));
@@ -642,6 +684,7 @@ mod tests {
             torus_64_us: Some(50.0),
             ring_sweep_16_us: Some(100.0),
             clique_16_us: Some(20.0),
+            torus_64_allreduce_us: None,
         };
         let fail = ScaleResult { points: vec![], gates };
         let err = fail.check_gates().expect_err("5x ratio must fail");
@@ -651,5 +694,13 @@ mod tests {
         let fail = ScaleResult { points: vec![], gates };
         let err = fail.check_gates().expect_err("slower dissemination must fail");
         assert!(err.contains("did not beat"), "unexpected message: {err}");
+        gates.clique_16_us = Some(20.0);
+        let fail = ScaleResult { points: vec![], gates };
+        let err = fail.check_gates().expect_err("a sweep without the trees must fail");
+        assert!(err.contains("gate cell missing"), "unexpected message: {err}");
+        gates.torus_64_allreduce_us = Some(120.0);
+        let fail = ScaleResult { points: vec![], gates };
+        let err = fail.check_gates().expect_err("a 4x allreduce must fail");
+        assert!(err.contains("4.00x its barrier"), "unexpected message: {err}");
     }
 }

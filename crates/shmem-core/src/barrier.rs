@@ -48,7 +48,7 @@ use crate::sync::CmpOp;
 /// How often a blocked barrier wait re-polls the failure detector, so a
 /// PE dying mid-barrier surfaces as [`ShmemError::PeFailed`] in bounded
 /// time instead of the full barrier timeout.
-const MEMBERSHIP_POLL: Duration = Duration::from_millis(50);
+pub(crate) const MEMBERSHIP_POLL: Duration = Duration::from_millis(50);
 
 /// Which part of the barrier protocol a stall or timeout happened in.
 /// Carried by [`ShmemError::BarrierTimeout`] and encoded into the

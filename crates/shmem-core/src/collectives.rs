@@ -2,23 +2,43 @@
 //!
 //! §II-B lists broadcasts and reductions among the essential SHMEM
 //! features. On the switchless ring they are built from the primitives
-//! the paper implements — put, get and the ring barrier — in the
-//! simplest correct shape: data moves with puts, and the barrier provides
-//! the entry/exit synchronization the OpenSHMEM collectives specify over
-//! their active set (here always the full world, as in the paper).
+//! the paper implements — put, get and the ring barrier.
+//!
+//! * Collectives that write into a caller's symmetric buffer (`broadcast`,
+//!   `fcollect`, `alltoall`, `collect`) synchronize with barriers: the
+//!   entry barrier says every buffer is ready to be overwritten, the exit
+//!   barrier that the data is visible everywhere.
+//! * The reductions, `broadcast_value` and the size exchange of `collect`
+//!   return their result instead, so they run over the persistent
+//!   [workspace](crate::workspace) with no barrier: each contribution
+//!   lands in a landing slot of its own, stamped with the epoch and a
+//!   checksum, and a call returns once every contribution it needs has
+//!   landed whole. The world and team variants are one implementation
+//!   over an [`ActiveSet`].
+//! * The signalled broadcasts (`broadcast_ring`, `broadcast_tree`)
+//!   keep the entry and exit barriers of the caller's buffer; between
+//!   them a receiver forwards the payload once its copy matches a
+//!   digest the sender stamps into its workspace landing slot.
 //!
 //! Under a degraded membership (a PE confirmed dead by the heartbeat
-//! detector) the data-movement loops address the **live** PEs only, or
-//! the collective fails fast with `PeFailed`, per
+//! detector) every collective addresses the **live** members only, or
+//! fails fast with `PeFailed`, per
 //! [`DegradedPolicy`](crate::config::DegradedPolicy). Dead PEs' slots in
-//! gathered results keep whatever the local copy last held (zero for
-//! `calloc`-ed scratch), and reductions combine live contributions only.
+//! gathered results keep whatever the local copy last held, and
+//! reductions combine live contributions only. A member dying *during* a
+//! workspace collective fails it with `PeFailed` within one membership
+//! poll; the call hands its epochs back, so survivors retry it in step.
 
+use std::time::Instant;
+
+use crate::barrier::MEMBERSHIP_POLL;
 use crate::config::DegradedPolicy;
 use crate::ctx::ShmemCtx;
 use crate::error::{Result, ShmemError};
 use crate::symmetric::TypedSym;
+use crate::teams::ActiveSet;
 use crate::types::ShmemScalar;
+use crate::workspace::{Workspace, DIGEST_BYTES};
 
 /// Reduction operators (`shmem_TYPE_{sum,prod,min,max}_reduce`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,21 +114,41 @@ impl_reduce_int!(u8, u16, u32, u64, i8, i16, i32, i64);
 impl_reduce_float!(f32, f64);
 
 impl ShmemCtx {
-    /// The PE set a world collective addresses: every PE on a
-    /// full-strength ring; under a degraded membership, the live PEs
-    /// (policy [`DegradedPolicy::Degrade`]) or
-    /// [`ShmemError::PeFailed`] (policy [`DegradedPolicy::Fail`]).
-    pub(crate) fn collective_peers(&self) -> Result<Vec<usize>> {
-        let n = self.num_pes();
+    /// The live members a collective over `set` addresses: every member
+    /// at full strength; under a degraded membership, the live ones
+    /// (policy [`DegradedPolicy::Degrade`]) or [`ShmemError::PeFailed`]
+    /// (policy [`DegradedPolicy::Fail`]).
+    pub(crate) fn live_members(&self, set: &ActiveSet) -> Result<Vec<usize>> {
         let view = self.node.membership().view();
-        let live = view.live_pes(n);
-        if live.len() == n || self.cfg.degraded_policy == DegradedPolicy::Degrade {
+        let members = (0..set.size).map(|i| set.member(i));
+        let live: Vec<usize> = members.clone().filter(|&p| view.is_live(p)).collect();
+        if live.len() == set.size || self.cfg.degraded_policy == DegradedPolicy::Degrade {
             return Ok(live);
         }
-        let pe = (0..n).find(|&p| !view.is_live(p)).unwrap_or(0);
+        let pe = members.into_iter().find(|&p| !view.is_live(p)).unwrap_or(0);
         // RESOLVES(none): membership policy gate before the collective
         // communicates — nothing is in flight for this op yet.
         Err(ShmemError::PeFailed { pe, epoch: view.epoch })
+    }
+
+    /// [`Self::live_members`] of the whole world.
+    pub(crate) fn collective_peers(&self) -> Result<Vec<usize>> {
+        self.live_members(&self.world_set())
+    }
+
+    fn world_set(&self) -> ActiveSet {
+        ActiveSet::world(self.num_pes())
+    }
+
+    /// Refuse a collective rooted at a dead PE: no policy can help when
+    /// the data source itself is gone.
+    fn check_root_live(&self, root: usize) -> Result<()> {
+        self.check_pe(root)?;
+        if self.is_pe_live(root) {
+            return Ok(());
+        }
+        // RESOLVES(none): pre-flight check, before any put is issued.
+        Err(ShmemError::PeFailed { pe: root, epoch: self.membership_epoch() })
     }
 
     /// `shmem_broadcast`: replicate `count` elements starting at `index`
@@ -120,12 +160,7 @@ impl ShmemCtx {
         count: usize,
         root: usize,
     ) -> Result<()> {
-        self.check_pe(root)?;
-        if !self.is_pe_live(root) {
-            // No policy can help: the data source itself is gone.
-            // RESOLVES(none): pre-flight check, before any put is issued.
-            return Err(ShmemError::PeFailed { pe: root, epoch: self.membership_epoch() });
-        }
+        self.check_root_live(root)?;
         let peers = self.collective_peers()?;
         // Entry barrier: everyone's buffers are ready to be overwritten.
         self.barrier_all()?;
@@ -200,40 +235,41 @@ impl ShmemCtx {
     /// assert!(sums.iter().all(|v| v == &[6, 4]));
     /// ```
     ///
-    /// Implemented as an fcollect into internal symmetric scratch
-    /// followed by a local combine (the gather-then-reduce shape the
-    /// paper's primitives support directly). Collective.
+    /// Barrier-free: each PE puts `src`, stamped with the call's epoch,
+    /// into its own landing slot of the persistent world workspace on
+    /// every live peer, waits until every live contribution has landed
+    /// whole, and folds them in PE order — so every PE computes
+    /// bit-identical results, floats included. A contribution larger than
+    /// the workspace's slots grows it once (one barrier), up to
+    /// [`MAX_SLOT_BYTES`](crate::workspace::MAX_SLOT_BYTES); beyond that
+    /// it runs in slot-sized pieces. Collective.
     pub fn allreduce<T: ShmemReduce>(&self, op: ReduceOp, src: &[T]) -> Result<Vec<T>> {
-        let n = self.num_pes();
-        // Only live PEs contribute; a dead PE's scratch slot would hold
-        // stale bytes, so it must not be folded into the result.
-        let contributors = self.collective_peers()?;
-        // Collective allocation is safe: all (live) PEs execute the same
-        // call.
-        let scratch: TypedSym<T> = self.malloc_array(n * src.len())?;
-        let result = (|| {
-            self.fcollect(&scratch, src)?;
-            let all = self.read_local_slice(&scratch, 0, n * src.len())?;
-            let mut out = vec![T::identity(op); src.len()];
-            for pe in contributors {
-                for (i, item) in out.iter_mut().enumerate() {
-                    *item = T::combine(op, *item, all[pe * src.len() + i]);
-                }
-            }
-            Ok(out)
-        })();
-        self.free_array(scratch)?;
-        result
+        self.reserve_workspace(src.len() * T::WIDTH)?;
+        self.reduce_over(&self.world_set(), &self.ws, op, src, Tree::Flat)
+    }
+
+    /// Grow the world workspace's landing slots to hold `bytes` of data
+    /// (up to the cap). Every PE of a collective asks for the same size,
+    /// so they all grow together — once, with one barrier so nobody
+    /// writes into a peer's new slots early. Never shrinks.
+    fn reserve_workspace(&self, bytes: usize) -> Result<()> {
+        let slot_bytes = Workspace::slot_bytes_for(bytes);
+        if slot_bytes <= self.ws.slot_bytes() {
+            return Ok(());
+        }
+        self.ws.grow(&self.heap, slot_bytes)?;
+        self.barrier_all()
     }
 
     /// Ring-pipelined broadcast: the natural broadcast for the switchless
     /// topology. Instead of the root issuing N-1 puts (all of which leave
     /// through the root's two adapters), the payload travels **once**
     /// around the ring: the root puts to its right neighbour with a
-    /// signal; each PE waits for the signal, forwards to *its* right
-    /// neighbour, and is done. Per-PE link work is constant, so large
-    /// broadcasts scale with the ring instead of bottlenecking the root.
-    /// Collective (allocates an internal signal word).
+    /// digest; each PE waits until its copy matches the digest, forwards
+    /// to *its* right neighbour, and is done. Per-PE link work is
+    /// constant, so large broadcasts scale with the ring instead of
+    /// bottlenecking the root. Collective (entry and exit barriers; the
+    /// digests land in the workspace).
     pub fn broadcast_ring<T: ShmemScalar>(
         &self,
         sym: &TypedSym<T>,
@@ -241,74 +277,72 @@ impl ShmemCtx {
         count: usize,
         root: usize,
     ) -> Result<()> {
-        use crate::signal::SignalOp;
-        use crate::sync::CmpOp;
         self.check_pe(root)?;
         let n = self.num_pes();
-        if self.collective_peers()?.len() < n {
+        let live = self.collective_peers()?;
+        if live.len() < n {
             // The pipeline is structural (every PE forwards to its right
             // neighbour), so a dead PE breaks it; fall back to the flat
             // root-fanout broadcast over the live membership.
             return self.broadcast(sym, index, count, root);
         }
-        let sig: TypedSym<u64> = self.calloc_array(1)?; // collective + entry sync
-        let result = (|| {
+        // Entry barrier: everyone's buffers are ready to be overwritten.
+        self.barrier_all()?;
+        self.workspace_call(&self.ws, || {
+            let epoch = self.ws.begin();
             if n == 1 {
                 return Ok(());
             }
             let me = self.my_pe();
             let right = (me + 1) % n;
-            // Rank positions along the pipeline, starting at the root.
-            let rank = (me + n - root) % n;
-            if rank == 0 {
+            if me != root {
+                let left = (me + n - 1) % n;
+                self.wait_digest(&self.ws, epoch, left, &live, sym, index, count)?;
+            }
+            // Forward the (now local) payload down the pipeline.
+            if right != root {
                 let data = self.read_local_slice(sym, index, count)?;
-                self.put_with_signal(sym, index, &data, &sig, 0, 1u64, SignalOp::Set, right)?;
-            } else {
-                self.signal_wait_until(&sig, 0, CmpOp::Eq, 1u64)?;
-                if rank + 1 < n {
-                    // Forward the (now local) payload down the pipeline.
-                    let data = self.read_local_slice(sym, index, count)?;
-                    self.put_with_signal(sym, index, &data, &sig, 0, 1u64, SignalOp::Set, right)?;
-                }
+                self.put_with_digest(&self.ws, epoch, me, sym, index, &data, right)?;
             }
             Ok(())
-        })();
-        // Exit sync doubles as the signal-word teardown barrier.
-        self.free_array(sig)?;
-        result
+        })?;
+        // Exit barrier: see `signalled_tree_broadcast`.
+        self.barrier_all()
     }
 
     /// `shmem_collect`: concatenate *variable-length* per-PE
     /// contributions in PE order into every PE's copy of `dest`.
     /// `dest.count()` must be at least the global total. Returns the
-    /// total number of collected elements. Collective (exchanges sizes
-    /// through an internal symmetric array first).
+    /// total number of collected elements. Collective (the sizes are
+    /// exchanged through the workspace; one exit barrier).
     pub fn collect<T: ShmemScalar>(&self, dest: &TypedSym<T>, src: &[T]) -> Result<usize> {
-        let n = self.num_pes();
-        // Phase 1: everyone learns everyone's contribution size.
-        let sizes: TypedSym<u64> = self.calloc_array(n)?;
-        let result = (|| {
-            self.fcollect(&sizes, &[src.len() as u64])?;
-            let all_sizes = self.read_local_slice::<u64>(&sizes, 0, n)?;
-            let total: u64 = all_sizes.iter().sum();
-            if total as usize > dest.count() {
-                return Err(ShmemError::Runtime("collect: dest too small for the global total"));
+        // Phase 1: everyone learns everyone's contribution size. A dead
+        // PE contributes nothing, so it shifts no offsets.
+        let set = self.world_set();
+        let mut sizes = vec![0u64; self.num_pes()];
+        let live = self.live_members(&set)?;
+        let got = self.workspace_call(&self.ws, || {
+            self.exchange(&set, &self.ws, &live, self.ws.begin(), &[src.len() as u64])
+        })?;
+        for (&pe, size) in live.iter().zip(got) {
+            sizes[pe] = size[0];
+        }
+        let total: u64 = sizes.iter().sum();
+        if total as usize > dest.count() {
+            return Err(ShmemError::Runtime("collect: dest too small for the global total"));
+        }
+        // Phase 2: everyone places its block at its prefix offset on
+        // every live PE. Finishing the exchange proves every PE entered
+        // the call, so its `dest` is ready to be overwritten.
+        let my_off = sizes[..self.my_pe()].iter().sum::<u64>() as usize;
+        self.write_local_slice(dest, my_off, src)?;
+        for &pe in &live {
+            if pe != self.my_pe() {
+                self.put_slice(dest, my_off, src, pe)?;
             }
-            let my_off: u64 = all_sizes[..self.my_pe()].iter().sum();
-            // Phase 2: everyone places its block at its prefix offset on
-            // every (live) PE. A dead PE's size slot stayed zero in the
-            // fcollect, so it contributes nothing to the offsets.
-            self.write_local_slice(dest, my_off as usize, src)?;
-            for pe in self.collective_peers()? {
-                if pe != self.my_pe() {
-                    self.put_slice(dest, my_off as usize, src, pe)?;
-                }
-            }
-            self.barrier_all()?;
-            Ok(total as usize)
-        })();
-        self.free_array(sizes)?;
-        result
+        }
+        self.barrier_all()?;
+        Ok(total as usize)
     }
 
     /// Reduce to `root` only (other PEs get `None`). Collective.
@@ -330,8 +364,8 @@ impl ShmemCtx {
     /// latency grows with the tree depth, not the PE count. Ranks are
     /// positions in the **live** PE list rotated so the root is rank 0,
     /// which honours [`DegradedPolicy`](crate::config::DegradedPolicy)
-    /// exactly like the flat [`Self::broadcast`]. Collective (allocates
-    /// an internal signal word).
+    /// exactly like the flat [`Self::broadcast`]. Collective (entry
+    /// and exit barriers; the digests land in the workspace).
     pub fn broadcast_tree<T: ShmemScalar>(
         &self,
         sym: &TypedSym<T>,
@@ -339,149 +373,410 @@ impl ShmemCtx {
         count: usize,
         root: usize,
     ) -> Result<()> {
-        use crate::signal::SignalOp;
-        use crate::sync::CmpOp;
-        self.check_pe(root)?;
-        if !self.is_pe_live(root) {
-            // No policy can help: the data source itself is gone.
-            // RESOLVES(none): pre-flight check, before any put is issued.
-            return Err(ShmemError::PeFailed { pe: root, epoch: self.membership_epoch() });
-        }
-        let peers = self.collective_peers()?;
-        let sig: TypedSym<u64> = self.calloc_array(1)?; // collective + entry sync
-        let result = (|| {
-            let m = peers.len();
-            // lint: unwrap-ok(the root passed the liveness gate above, so
-            // it is present in the live list)
-            let root_idx = peers.iter().position(|&p| p == root).unwrap();
-            let Some(pos) = peers.iter().position(|&p| p == self.my_pe()) else {
-                // Not in the live set (mid-rejoin): sit the data phase
-                // out; the alloc/free barriers still synchronize us.
+        self.check_root_live(root)?;
+        let live = self.collective_peers()?;
+        // Entry barrier: everyone's buffers are ready to be overwritten.
+        self.barrier_all()?;
+        self.signalled_tree_broadcast(&self.world_set(), &self.ws, &live, root, sym, index, count)?;
+        self.barrier_all()
+    }
+
+    /// The tree broadcast shared by the world and team variants: `root`
+    /// (a world PE, live) pushes `count` elements of `sym` down the
+    /// binomial tree over `live`, each hop a put followed by the sender's
+    /// digest. The caller barriers on entry, and on exit: a receiver
+    /// whose copy already held the same bytes matches the digest before
+    /// the put has landed, and the exit barrier (which drains every PE's
+    /// puts) keeps such a put from landing after the call returns.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn signalled_tree_broadcast<T: ShmemScalar>(
+        &self,
+        set: &ActiveSet,
+        ws: &Workspace,
+        live: &[usize],
+        root: usize,
+        sym: &TypedSym<T>,
+        index: usize,
+        count: usize,
+    ) -> Result<()> {
+        self.workspace_call(ws, || {
+            let epoch = ws.begin();
+            // Not in the live set (mid-rejoin): sit the data phase out.
+            let Some(tree) = BinomialTree::over(live, root, self.my_pe()) else {
                 return Ok(());
             };
-            let rank = (pos + m - root_idx) % m;
-            if rank != 0 {
-                self.signal_wait_until(&sig, 0, CmpOp::Eq, 1u64)?;
+            if let Some(parent) = tree.down_parent() {
+                let rank = set_rank(set, parent)?;
+                self.wait_digest(ws, epoch, rank, live, sym, index, count)?;
             }
             let data = self.read_local_slice(sym, index, count)?;
-            let mut step = 1usize;
-            while step < m {
-                if step > rank && rank + step < m {
-                    let dest = peers[(root_idx + rank + step) % m];
-                    self.put_with_signal(sym, index, &data, &sig, 0, 1u64, SignalOp::Set, dest)?;
-                }
-                step <<= 1;
+            let me = set_rank(set, self.my_pe())?;
+            for child in tree.down_children() {
+                self.put_with_digest(ws, epoch, me, sym, index, &data, child)?;
             }
             Ok(())
-        })();
-        // Exit sync doubles as the signal-word teardown barrier.
-        self.free_array(sig)?;
-        result
+        })
     }
 
     /// Binomial-tree reduction to `root` (other PEs get `None`): log₂N
     /// combining rounds, each PE sends its partial exactly once to its
-    /// tree parent. Dead PEs are excluded from the tree entirely (their
-    /// contribution is dropped, like [`Self::allreduce`]). Collective
-    /// (allocates internal scratch).
+    /// tree parent. The result then travels back down the same tree —
+    /// that return trip is what lets the next call reuse the workspace
+    /// without a barrier (see [`crate::workspace`]). Dead PEs are
+    /// excluded from the tree entirely (their contribution is dropped,
+    /// like [`Self::allreduce`]). Collective.
     pub fn reduce_tree<T: ShmemReduce>(
         &self,
         op: ReduceOp,
         src: &[T],
         root: usize,
     ) -> Result<Option<Vec<T>>> {
-        use crate::signal::SignalOp;
-        use crate::sync::CmpOp;
-        self.check_pe(root)?;
-        if !self.is_pe_live(root) {
-            // RESOLVES(none): pre-flight check, before any put is issued.
-            return Err(ShmemError::PeFailed { pe: root, epoch: self.membership_epoch() });
-        }
-        let peers = self.collective_peers()?;
-        let len = src.len();
-        let rounds = peers.len().next_power_of_two().trailing_zeros() as usize;
-        // Per-round landing slots: the child of round k writes its partial
-        // into slot k of its parent, so rounds never alias each other.
-        let scratch: TypedSym<T> = self.calloc_array(len * rounds.max(1))?;
-        let sig: TypedSym<u64> = self.calloc_array(rounds.max(1))?;
-        let result = (|| {
-            let m = peers.len();
-            // lint: unwrap-ok(the root passed the liveness gate above, so
-            // it is present in the live list)
-            let root_idx = peers.iter().position(|&p| p == root).unwrap();
-            let Some(pos) = peers.iter().position(|&p| p == self.my_pe()) else {
-                return Ok(None);
-            };
-            let rank = (pos + m - root_idx) % m;
-            let mut acc = src.to_vec();
-            for k in 0..rounds {
-                let step = 1usize << k;
-                if rank & step != 0 {
-                    // My turn to fold into the parent and retire.
-                    let parent = peers[(root_idx + rank - step) % m];
-                    self.put_with_signal(
-                        &scratch,
-                        k * len,
-                        &acc,
-                        &sig,
-                        k,
-                        1u64,
-                        SignalOp::Set,
-                        parent,
-                    )?;
-                    break;
-                }
-                if rank + step < m {
-                    self.signal_wait_until(&sig, k, CmpOp::Eq, 1u64)?;
-                    let part = self.read_local_slice(&scratch, k * len, len)?;
-                    for (a, b) in acc.iter_mut().zip(part) {
-                        *a = T::combine(op, *a, b);
-                    }
-                }
-            }
-            Ok((rank == 0).then_some(acc))
-        })();
-        self.free_array(sig)?;
-        self.free_array(scratch)?;
-        result
+        self.check_root_live(root)?;
+        self.reserve_workspace(src.len() * T::WIDTH)?;
+        let out = self.reduce_over(&self.world_set(), &self.ws, op, src, Tree::Rooted(root))?;
+        Ok((self.my_pe() == root).then_some(out))
     }
 
-    /// Log-depth all-reduce: a binomial [`Self::reduce_tree`] to the
-    /// lowest live PE followed by a [`Self::broadcast_tree`] of the
-    /// result — 2·log₂N rounds total, versus the linear gather of
-    /// [`Self::allreduce`]. Collective (allocates internal scratch).
+    /// Log-depth all-reduce: a binomial reduce to the lowest live PE and
+    /// the result back down the same tree — 2·log₂N rounds, versus the
+    /// single all-to-all round of [`Self::allreduce`]. Collective.
     pub fn allreduce_tree<T: ShmemReduce>(&self, op: ReduceOp, src: &[T]) -> Result<Vec<T>> {
-        let peers = self.collective_peers()?;
-        // lint: unwrap-ok(the calling PE is alive, so the live list is
-        // never empty)
-        let root = *peers.first().unwrap();
-        let reduced = self.reduce_tree(op, src, root)?;
-        let scratch: TypedSym<T> = self.calloc_array(src.len())?;
-        let result = (|| {
-            if let Some(v) = &reduced {
-                self.write_local_slice(&scratch, 0, v)?;
-            }
-            self.broadcast_tree(&scratch, 0, src.len(), root)?;
-            self.read_local_slice(&scratch, 0, src.len())
-        })();
-        self.free_array(scratch)?;
-        result
+        self.reserve_workspace(src.len() * T::WIDTH)?;
+        self.reduce_over(&self.world_set(), &self.ws, op, src, Tree::LowestLive)
     }
 
     /// Convenience: broadcast one value from `root` to every PE and
-    /// return it. Collective (allocates internal scratch).
+    /// return it. Collective (a workspace exchange, no barrier).
     pub fn broadcast_value<T: ShmemScalar>(&self, value: T, root: usize) -> Result<T> {
-        let scratch: TypedSym<T> = self.malloc_array(1)?;
-        let result = (|| {
-            if self.my_pe() == root {
-                self.write_local(&scratch, 0, value)?;
+        self.check_root_live(root)?;
+        let set = self.world_set();
+        let live = self.live_members(&set)?;
+        let all = self.workspace_call(&self.ws, || {
+            self.exchange(&set, &self.ws, &live, self.ws.begin(), &[value])
+        })?;
+        let pos = live.iter().position(|&p| p == root);
+        // The root passed the liveness gate, so it is in the live list.
+        pos.map(|pos| all[pos][0]).ok_or(ShmemError::Runtime("broadcast root left the live set"))
+    }
+
+    /// Element-wise reduce `src` over the live members of `set` through
+    /// `ws`; every live member gets the result. `shape` picks the flat
+    /// exchange or a binomial tree. A contribution larger than the
+    /// workspace's slots runs in slot-sized pieces, one epoch each.
+    pub(crate) fn reduce_over<T: ShmemReduce>(
+        &self,
+        set: &ActiveSet,
+        ws: &Workspace,
+        op: ReduceOp,
+        src: &[T],
+        shape: Tree,
+    ) -> Result<Vec<T>> {
+        let live = self.live_members(set)?;
+        let root = match shape {
+            Tree::Flat => None,
+            Tree::LowestLive => live.first().copied(),
+            Tree::Rooted(root) => Some(root),
+        };
+        let piece = (ws.payload_bytes() / T::WIDTH).max(1);
+        self.workspace_call(ws, || {
+            let mut out = Vec::with_capacity(src.len());
+            for part in src.chunks(piece) {
+                let epoch = ws.begin();
+                match root {
+                    None => {
+                        let all = self.exchange(set, ws, &live, epoch, part)?;
+                        // Fold in member order: every PE computes the
+                        // same sequence of combines, bit for bit.
+                        let mut acc = vec![T::identity(op); part.len()];
+                        for contribution in all {
+                            fold(op, &mut acc, &contribution);
+                        }
+                        out.extend(acc);
+                    }
+                    Some(root) => {
+                        out.extend(self.tree_round(set, ws, &live, root, epoch, op, part)?)
+                    }
+                }
             }
-            self.broadcast(&scratch, 0, 1, root)?;
-            self.read_local(&scratch, 0)
-        })();
-        self.free_array(scratch)?;
+            Ok(out)
+        })
+    }
+
+    /// Run one workspace collective: `call` begins its own epochs. It
+    /// ends with `quiet`, so the collective is complete on return and its
+    /// ack wait does not spill into whatever follows. On failure every
+    /// epoch the call began is handed back for the retry, and the
+    /// failed attempt's puts are drained (their own verdict — typically
+    /// the same `PeFailed` — is not reported twice).
+    fn workspace_call<R>(&self, ws: &Workspace, call: impl FnOnce() -> Result<R>) -> Result<R> {
+        let start = ws.epoch();
+        let result = call().and_then(|r| self.quiet().map(|()| r));
+        if result.is_err() {
+            ws.rewind(start);
+            let _ = self.quiet();
+        }
         result
     }
+
+    /// One flat exchange round: put `mine` into this PE's landing slot on
+    /// every other live member, wait for theirs, and return every live
+    /// member's contribution in member order.
+    fn exchange<T: ShmemScalar>(
+        &self,
+        set: &ActiveSet,
+        ws: &Workspace,
+        live: &[usize],
+        epoch: u64,
+        mine: &[T],
+    ) -> Result<Vec<Vec<T>>> {
+        let me = self.my_pe();
+        let my_rank = set_rank(set, me)?;
+        if !live.contains(&me) {
+            return Err(ShmemError::Runtime("collective on a PE outside the live membership"));
+        }
+        for &pe in live.iter().filter(|&&p| p != me) {
+            self.workspace_put(ws, epoch, my_rank, mine, pe)?;
+        }
+        let ranks = live.iter().map(|&p| set_rank(set, p)).collect::<Result<Vec<_>>>()?;
+        let others: Vec<usize> = ranks.iter().copied().filter(|&r| r != my_rank).collect();
+        let mut theirs = self.wait_slots(ws, epoch, &others, live, mine.len())?.into_iter();
+        Ok(ranks
+            .iter()
+            .map(|&r| if r == my_rank { mine.to_vec() } else { theirs.next().unwrap_or_default() })
+            .collect())
+    }
+
+    /// One binomial-tree round rooted at `root`: partials travel up to
+    /// the root, its result back down. Every live member returns it.
+    #[allow(clippy::too_many_arguments)]
+    fn tree_round<T: ShmemReduce>(
+        &self,
+        set: &ActiveSet,
+        ws: &Workspace,
+        live: &[usize],
+        root: usize,
+        epoch: u64,
+        op: ReduceOp,
+        mine: &[T],
+    ) -> Result<Vec<T>> {
+        let tree = BinomialTree::over(live, root, self.my_pe())
+            .ok_or(ShmemError::Runtime("collective on a PE outside the live membership"))?;
+        let my_rank = set_rank(set, self.my_pe())?;
+        let mut acc = mine.to_vec();
+        for child in tree.up_children() {
+            let rank = set_rank(set, child)?;
+            for part in self.wait_slots(ws, epoch, &[rank], live, mine.len())? {
+                fold(op, &mut acc, &part);
+            }
+        }
+        if let Some(parent) = tree.up_parent() {
+            self.workspace_put(ws, epoch, my_rank, &acc, parent)?;
+        }
+        if let Some(parent) = tree.down_parent() {
+            let rank = set_rank(set, parent)?;
+            acc = self.wait_slots(ws, epoch, &[rank], live, mine.len())?.concat();
+        }
+        for child in tree.down_children() {
+            self.workspace_put(ws, epoch, my_rank, &acc, child)?;
+        }
+        Ok(acc)
+    }
+
+    /// Put `data`, stamped with `epoch`, into member `rank`'s landing
+    /// slot of `epoch` at `pe`: one put, so one doorbell per peer, and
+    /// receivers start on the first peer's frames while the later ones
+    /// are still being written.
+    fn workspace_put<T: ShmemScalar>(
+        &self,
+        ws: &Workspace,
+        epoch: u64,
+        rank: usize,
+        data: &[T],
+        pe: usize,
+    ) -> Result<()> {
+        let stamped = Workspace::stamped(epoch, &T::slice_to_bytes(data));
+        self.put_slice(&ws.slot(epoch, rank)?, 0, &stamped, pe)
+    }
+
+    /// Wait until every member rank in `ranks` has landed its
+    /// `len`-element contribution for `epoch` here; return them in
+    /// `ranks` order.
+    fn wait_slots<T: ShmemScalar>(
+        &self,
+        ws: &Workspace,
+        epoch: u64,
+        ranks: &[usize],
+        planned: &[usize],
+        len: usize,
+    ) -> Result<Vec<Vec<T>>> {
+        let mut got: Vec<Option<Vec<T>>> = vec![None; ranks.len()];
+        self.wait_members(planned, || {
+            for (part, &rank) in got.iter_mut().zip(ranks) {
+                if part.is_none() {
+                    let bytes = ws.take(&self.heap, epoch, rank, len * T::WIDTH)?;
+                    *part = bytes.map(|b| T::bytes_to_vec(&b));
+                }
+            }
+            Ok(got.iter().all(Option::is_some))
+        })?;
+        Ok(got.into_iter().flatten().collect())
+    }
+
+    /// Put `data` into `sym[index..]` at `pe`, then stamp this member's
+    /// (`rank`'s) landing slot there with the data's digest for `epoch`.
+    #[allow(clippy::too_many_arguments)]
+    fn put_with_digest<T: ShmemScalar>(
+        &self,
+        ws: &Workspace,
+        epoch: u64,
+        rank: usize,
+        sym: &TypedSym<T>,
+        index: usize,
+        data: &[T],
+        pe: usize,
+    ) -> Result<()> {
+        self.put_slice(sym, index, data, pe)?;
+        let digest = Workspace::digest(epoch, &T::slice_to_bytes(data));
+        self.workspace_put(ws, epoch, rank, &digest, pe)
+    }
+
+    /// Wait until member `rank` has stamped its digest for `epoch` here
+    /// and this PE's copy of `sym[index..index + count]` matches it.
+    #[allow(clippy::too_many_arguments)]
+    fn wait_digest<T: ShmemScalar>(
+        &self,
+        ws: &Workspace,
+        epoch: u64,
+        rank: usize,
+        planned: &[usize],
+        sym: &TypedSym<T>,
+        index: usize,
+        count: usize,
+    ) -> Result<()> {
+        let mut digest = None;
+        self.wait_members(planned, || {
+            if digest.is_none() {
+                digest = ws.take(&self.heap, epoch, rank, DIGEST_BYTES)?;
+            }
+            let Some(want) = &digest else {
+                return Ok(false);
+            };
+            let mine = self.read_local_slice(sym, index, count)?;
+            Ok(want[..] == Workspace::digest(epoch, &T::slice_to_bytes(&mine)))
+        })
+    }
+
+    /// Poll `done` whenever symmetric memory changes until it holds.
+    /// Polls the failure detector like the barrier does: a death among
+    /// `planned` (the live set the round was planned over) fails the wait
+    /// with `PeFailed` within one poll.
+    fn wait_members(
+        &self,
+        planned: &[usize],
+        mut done: impl FnMut() -> Result<bool>,
+    ) -> Result<()> {
+        let deadline = Instant::now() + self.cfg.wait_timeout;
+        loop {
+            let seen = self.heap.version();
+            if done()? {
+                return Ok(());
+            }
+            let view = self.node.membership().view();
+            if let Some(&pe) = planned.iter().find(|&&p| !view.is_live(p)) {
+                // RESOLVES(none): the dead member's in-flight ops were
+                // swept by fail_dest at detection; callers retry.
+                return Err(ShmemError::PeFailed { pe, epoch: view.epoch });
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(ShmemError::WaitTimeout);
+            }
+            self.heap
+                .wait_change(seen, MEMBERSHIP_POLL.min(deadline.saturating_duration_since(now)));
+        }
+    }
+}
+
+/// The shape of a workspace reduction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tree {
+    /// One all-to-all exchange round.
+    Flat,
+    /// A binomial tree rooted at the lowest live member.
+    LowestLive,
+    /// A binomial tree rooted at this world PE.
+    Rooted(usize),
+}
+
+/// Rank of world PE `pe` within `set` (its landing slot).
+fn set_rank(set: &ActiveSet, pe: usize) -> Result<usize> {
+    set.rank_of(pe).ok_or(ShmemError::Runtime("collective on a PE outside its active set"))
+}
+
+/// `acc[i] = acc[i] op part[i]`.
+fn fold<T: ShmemReduce>(op: ReduceOp, acc: &mut [T], part: &[T]) {
+    for (a, &b) in acc.iter_mut().zip(part) {
+        *a = T::combine(op, *a, b);
+    }
+}
+
+/// A binomial tree over a live member list, rotated so `root` is tree
+/// rank 0, seen from one member. Partials go up to `r - lowbit(r)`; the
+/// result comes down from `r - highbit(r)` and goes on to `r + 2^k` for
+/// every `2^k > r`.
+struct BinomialTree<'a> {
+    live: &'a [usize],
+    root_idx: usize,
+    rank: usize,
+}
+
+impl<'a> BinomialTree<'a> {
+    /// The tree over `live` rooted at `root`, seen from `me`; `None` if
+    /// `me` (or the root) is not in `live`.
+    fn over(live: &'a [usize], root: usize, me: usize) -> Option<Self> {
+        let root_idx = live.iter().position(|&p| p == root)?;
+        let pos = live.iter().position(|&p| p == me)?;
+        let rank = (pos + live.len() - root_idx) % live.len();
+        Some(BinomialTree { live, root_idx, rank })
+    }
+
+    fn pe(&self, rank: usize) -> usize {
+        self.live[(self.root_idx + rank) % self.live.len()]
+    }
+
+    /// Children whose partials this member folds, in fold order.
+    fn up_children(&self) -> impl Iterator<Item = usize> + '_ {
+        let low = if self.rank == 0 { usize::MAX } else { self.rank & self.rank.wrapping_neg() };
+        steps(self.live.len())
+            .take_while(move |&s| s < low)
+            .filter(move |&s| self.rank + s < self.live.len())
+            .map(move |s| self.pe(self.rank + s))
+    }
+
+    /// Where this member's partial goes (`None` at the root).
+    fn up_parent(&self) -> Option<usize> {
+        (self.rank != 0).then(|| self.pe(self.rank - (self.rank & self.rank.wrapping_neg())))
+    }
+
+    /// Who sends this member the result (`None` at the root).
+    fn down_parent(&self) -> Option<usize> {
+        (self.rank != 0).then(|| {
+            let high = 1usize << (usize::BITS - 1 - self.rank.leading_zeros());
+            self.pe(self.rank - high)
+        })
+    }
+
+    /// Where this member sends the result.
+    fn down_children(&self) -> impl Iterator<Item = usize> + '_ {
+        steps(self.live.len())
+            .filter(move |&s| s > self.rank && self.rank + s < self.live.len())
+            .map(move |s| self.pe(self.rank + s))
+    }
+}
+
+/// `1, 2, 4, ...` below `m`.
+fn steps(m: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(1usize), |s| s.checked_mul(2)).take_while(move |&s| s < m)
 }
 
 #[cfg(test)]

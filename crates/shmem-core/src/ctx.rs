@@ -28,6 +28,7 @@ use crate::error::{Result, ShmemError};
 use crate::heap::SymmetricHeap;
 use crate::symmetric::{SymAddr, TypedSym};
 use crate::types::ShmemScalar;
+use crate::workspace::Workspace;
 
 /// Per-operation options for put/get, replacing the old
 /// `put_slice` / `put_slice_with_mode` / `put_slice_nbi` triplet (and its
@@ -199,6 +200,8 @@ pub struct ShmemCtx {
     pub(crate) degraded_flags: TypedSym<u64>,
     /// Monotonic epoch of the degraded-membership barrier.
     pub(crate) degraded_epoch: AtomicU64,
+    /// The world's persistent collective workspace.
+    pub(crate) ws: Workspace,
     /// Monotonic id generator for API-level trace events (put/get/AMO
     /// issue/complete pairs share one id).
     pub(crate) api_op: AtomicU64,
@@ -229,6 +232,7 @@ impl ShmemCtx {
         let degraded_addr = heap.malloc((BARRIER_ROUNDS * <u64 as ShmemScalar>::WIDTH) as u64)?;
         heap.fill_flat(degraded_addr.offset(), degraded_addr.len(), 0)?;
         let degraded_flags = TypedSym::new(degraded_addr, BARRIER_ROUNDS)?;
+        let ws = Workspace::alloc(&heap, node.num_hosts())?;
         Ok(ShmemCtx {
             node,
             heap,
@@ -237,6 +241,7 @@ impl ShmemCtx {
             barrier_epoch: std::sync::atomic::AtomicU64::new(0),
             degraded_flags,
             degraded_epoch: AtomicU64::new(0),
+            ws,
             api_op: AtomicU64::new(0),
             barrier_trace_epoch: AtomicU64::new(0),
         })

@@ -47,6 +47,7 @@ pub mod symmetric;
 pub mod sync;
 pub mod teams;
 pub mod types;
+pub mod workspace;
 
 pub use barrier::BarrierPhase;
 pub use capi::CApi;

@@ -1,16 +1,20 @@
 //! Put-with-signal (`shmem_put_signal`, OpenSHMEM 1.5).
 //!
 //! A put followed by a signal-word update that the target can wait on,
-//! with the guarantee that *when the signal is visible, the data is too* —
-//! without the origin paying a full `quiet` round trip between them.
+//! with the guarantee that *when the signal is visible, the data is too*.
 //!
-//! On this transport the guarantee comes from FIFO delivery along a fixed
-//! route: the data chunks and the trailing signal put travel the same
-//! sequence of link mailboxes (the route to a given destination is
-//! deterministic — shortest ring direction, or the dedicated mesh link),
-//! each link preserves order, and the destination's service thread
-//! delivers frames of one inbound link in order. The signal frame is
-//! enqueued after the last data chunk, so it lands last.
+//! On this transport the guarantee comes from `quiet`: the data is
+//! acknowledged by the target before the signal leaves. Each link drains
+//! its lanes in publish order, but that does not order two frames end to
+//! end. A forwarding host requeues a frame behind later ones after a
+//! transient send failure, or sheds it when its queue is full, and a
+//! frame corrupted in flight is dropped — in the last two cases the
+//! sender's retry sweeper delivers it again, late. A signal sent right
+//! behind its data could overtake it in any of these cases.
+//!
+//! The workspace collectives do not pay this round trip: their landing
+//! slots carry an epoch stamp and a checksum, so the data proves its own
+//! arrival (see [`crate::workspace`]).
 
 use crate::ctx::{OpOptions, ShmemCtx};
 use crate::error::Result;
@@ -77,18 +81,11 @@ impl ShmemCtx {
         self.check_pe(pe)?;
         let opts = OpOptions::new().mode(mode);
         self.put_slice_opts(sym, index, data, pe, opts)?;
+        // The data must be at the target before the signal can be seen.
+        self.quiet()?;
         match op {
-            SignalOp::Set => {
-                // An ordinary put of the signal word: same route as the
-                // data, FIFO behind it.
-                self.put_slice_opts(sig, sig_index, &[sig_value], pe, opts)
-            }
-            SignalOp::Add => {
-                // Additive signals must be atomic across producers. The
-                // AMO request frame follows the same route, so ordering
-                // behind the data still holds.
-                self.atomic_add(sig, sig_index, sig_value, pe)
-            }
+            SignalOp::Set => self.put_slice_opts(sig, sig_index, &[sig_value], pe, opts),
+            SignalOp::Add => self.atomic_add(sig, sig_index, sig_value, pe),
         }
     }
 

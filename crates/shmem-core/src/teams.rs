@@ -10,18 +10,22 @@
 //! Subset barriers cannot ride the physical barrier doorbells (those
 //! implement the paper's whole-world ring sweep), so team barriers use the
 //! dissemination algorithm over put-flags, which works for any member
-//! subset.
+//! subset. Each team also owns a persistent collective
+//! [workspace](crate::workspace) (the classic `pWrk`), so its reductions
+//! and tree broadcast are collective over the team alone and run the same
+//! code as the world's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::barrier::BarrierPhase;
-use crate::collectives::{ReduceOp, ShmemReduce};
+use crate::collectives::{ReduceOp, ShmemReduce, Tree};
 use crate::ctx::ShmemCtx;
 use crate::error::{Result, ShmemError};
 use crate::symmetric::TypedSym;
 use crate::sync::CmpOp;
 use crate::types::ShmemScalar;
+use crate::workspace::Workspace;
 
 /// The classic SHMEM active-set triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +87,8 @@ pub struct Team {
     flags: TypedSym<u64>,
     /// Monotonic barrier epoch, local.
     epoch: AtomicU64,
+    /// The team's collective workspace (symmetric on every world PE).
+    ws: Workspace,
 }
 
 /// Rounds reserved per team barrier (supports up to 2^8 members; the
@@ -125,8 +131,12 @@ impl ShmemCtx {
         if set.size == 0 || set.max_pe() >= self.num_pes() {
             return Err(ShmemError::Runtime("active set exceeds the world"));
         }
+        // Every PE allocates the workspace at the same point; the
+        // calloc barrier below publishes it before anyone can use it.
+        let ws = Workspace::alloc(&self.heap, set.size)?;
         let flags = self.calloc_array::<u64>(TEAM_ROUNDS)?; // collective (barriers)
-        Ok(Team { set, my_rank: set.rank_of(self.my_pe()), flags, epoch: AtomicU64::new(0) })
+        let my_rank = set.rank_of(self.my_pe());
+        Ok(Team { set, my_rank, flags, epoch: AtomicU64::new(0), ws })
     }
 
     /// A team over the whole world.
@@ -136,7 +146,8 @@ impl ShmemCtx {
 
     /// Release a team's symmetric state. Collective over the world.
     pub fn team_destroy(&self, team: Team) -> Result<()> {
-        self.free_array(team.flags)
+        self.free_array(team.flags)?;
+        team.ws.release(&self.heap)
     }
 
     /// Dissemination barrier over the team's members. Non-members return
@@ -190,9 +201,9 @@ impl ShmemCtx {
 
     /// Binomial-tree broadcast over the team: log₂(size) rounds, every
     /// holder with tree rank `r` forwards to rank `r + 2^k`, ranks
-    /// rotated so `root_rank` is rank 0. Collective over the **world**
-    /// (allocates a symmetric signal word); non-members only participate
-    /// in the allocation barriers.
+    /// rotated so `root_rank` is rank 0. Collective over the team (team
+    /// barriers on entry and exit; the digests land in the team's
+    /// workspace); non-members return immediately.
     pub fn team_broadcast_tree<T: ShmemScalar>(
         &self,
         team: &Team,
@@ -201,119 +212,34 @@ impl ShmemCtx {
         count: usize,
         root_rank: usize,
     ) -> Result<()> {
-        use crate::signal::SignalOp;
         if root_rank >= team.size() {
             return Err(ShmemError::Runtime("broadcast root outside the team"));
         }
-        let sig: TypedSym<u64> = self.calloc_array(1)?; // collective + entry sync
-        let result = (|| {
-            let Some(rank_abs) = team.my_rank else {
-                return Ok(());
-            };
-            let m = team.size();
-            let rank = (rank_abs + m - root_rank) % m;
-            if rank != 0 {
-                self.signal_wait_until(&sig, 0, CmpOp::Eq, 1u64)?;
-            }
-            let data = self.read_local_slice(sym, index, count)?;
-            let mut step = 1usize;
-            while step < m {
-                if step > rank && rank + step < m {
-                    let dest = team.set.member((root_rank + rank + step) % m);
-                    self.put_with_signal(sym, index, &data, &sig, 0, 1u64, SignalOp::Set, dest)?;
-                }
-                step <<= 1;
-            }
-            Ok(())
-        })();
-        // Exit sync doubles as the signal-word teardown barrier.
-        self.free_array(sig)?;
-        result
+        if !team.is_member() {
+            return Ok(());
+        }
+        let live = self.live_members(&team.set)?;
+        self.team_barrier(team)?;
+        let root = team.set.member(root_rank);
+        self.signalled_tree_broadcast(&team.set, &team.ws, &live, root, sym, index, count)?;
+        self.team_barrier(team)
     }
 
-    /// Log-depth all-reduce over the team: a binomial reduce to rank 0
-    /// followed by a tree broadcast of the result — 2·log₂(size) rounds
-    /// versus the linear gather of [`Self::team_allreduce`]. Members get
-    /// the result, non-members `None`. Collective over the **world**
-    /// (allocates symmetric scratch).
+    /// Log-depth all-reduce over the team: a binomial reduce to the
+    /// lowest live member and the result back down — 2·log₂(size) rounds
+    /// versus the single exchange round of [`Self::team_allreduce`].
+    /// Members get the result, non-members `None`. Collective over the
+    /// team.
     pub fn team_allreduce_tree<T: ShmemReduce>(
         &self,
         team: &Team,
         op: ReduceOp,
         src: &[T],
     ) -> Result<Option<Vec<T>>> {
-        use crate::signal::SignalOp;
-        let len = src.len();
-        let rounds = team.size().next_power_of_two().trailing_zeros() as usize;
-        let scratch: TypedSym<T> = self.calloc_array(len * rounds.max(1) + len)?;
-        // One signal word per reduce round plus one for the broadcast
-        // phase — everything is allocated up front so members and
-        // non-members execute the same (collective) alloc/free sequence.
-        let sig: TypedSym<u64> = self.calloc_array(rounds.max(1) + 1)?;
-        let result = (|| {
-            let Some(rank) = team.my_rank else {
-                return Ok(None);
-            };
-            let m = team.size();
-            let mut acc = src.to_vec();
-            for k in 0..rounds {
-                let step = 1usize << k;
-                if rank & step != 0 {
-                    // Fold into the round-k parent and retire.
-                    let parent = team.set.member(rank - step);
-                    self.put_with_signal(
-                        &scratch,
-                        k * len,
-                        &acc,
-                        &sig,
-                        k,
-                        1u64,
-                        SignalOp::Set,
-                        parent,
-                    )?;
-                    break;
-                }
-                if rank + step < m {
-                    self.signal_wait_until(&sig, k, CmpOp::Eq, 1u64)?;
-                    let part = self.read_local_slice(&scratch, k * len, len)?;
-                    for (a, b) in acc.iter_mut().zip(part) {
-                        *a = T::combine(op, *a, b);
-                    }
-                }
-            }
-            // Rank 0 holds the full result in the trailing scratch slot;
-            // tree-broadcast it back down the same binomial shape using
-            // the pre-allocated broadcast signal word.
-            let slot = rounds.max(1) * len;
-            let bsig = rounds.max(1);
-            if rank == 0 {
-                self.write_local_slice(&scratch, slot, &acc)?;
-            } else {
-                self.signal_wait_until(&sig, bsig, CmpOp::Eq, 1u64)?;
-            }
-            let data = self.read_local_slice(&scratch, slot, len)?;
-            let mut step = 1usize;
-            while step < m {
-                if step > rank && rank + step < m {
-                    let dest = team.set.member(rank + step);
-                    self.put_with_signal(
-                        &scratch,
-                        slot,
-                        &data,
-                        &sig,
-                        bsig,
-                        1u64,
-                        SignalOp::Set,
-                        dest,
-                    )?;
-                }
-                step <<= 1;
-            }
-            Ok(Some(data))
-        })();
-        self.free_array(sig)?;
-        self.free_array(scratch)?;
-        result
+        if !team.is_member() {
+            return Ok(None);
+        }
+        self.reduce_over(&team.set, &team.ws, op, src, Tree::LowestLive).map(Some)
     }
 
     /// Broadcast `count` elements of `sym` starting at `index` from the
@@ -346,41 +272,20 @@ impl ShmemCtx {
     }
 
     /// All-reduce `src` element-wise over the team; every member gets the
-    /// result, non-members get `None`. Collective over the **world** (it
-    /// allocates symmetric scratch).
+    /// result, non-members `None`. The same barrier-free exchange as
+    /// [`Self::allreduce`], over the team's workspace; collective over
+    /// the team only. A contribution larger than the team workspace's
+    /// slots runs in slot-sized pieces.
     pub fn team_allreduce<T: ShmemReduce>(
         &self,
         team: &Team,
         op: ReduceOp,
         src: &[T],
     ) -> Result<Option<Vec<T>>> {
-        let scratch: TypedSym<T> = self.calloc_array(team.size() * src.len())?;
-        let result = (|| {
-            let Some(rank) = team.my_rank else {
-                return Ok(None);
-            };
-            // Gather every member's contribution into every member's
-            // scratch, then combine locally.
-            self.team_barrier(team)?;
-            let slot = rank * src.len();
-            self.write_local_slice(&scratch, slot, src)?;
-            for i in 0..team.size() {
-                if i != rank {
-                    self.put_slice(&scratch, slot, src, team.set.member(i))?;
-                }
-            }
-            self.team_barrier(team)?;
-            let all = self.read_local_slice(&scratch, 0, team.size() * src.len())?;
-            let mut out = vec![T::identity(op); src.len()];
-            for member in 0..team.size() {
-                for (i, item) in out.iter_mut().enumerate() {
-                    *item = T::combine(op, *item, all[member * src.len() + i]);
-                }
-            }
-            Ok(Some(out))
-        })();
-        self.free_array(scratch)?;
-        result
+        if !team.is_member() {
+            return Ok(None);
+        }
+        self.reduce_over(&team.set, &team.ws, op, src, Tree::Flat).map(Some)
     }
 }
 

@@ -26,6 +26,11 @@
 //!   strength with its crash flag clear: no false permanent eviction.
 //! * **rejoin** — a crashed host restarts, re-enters at the ring's
 //!   current epoch, and byte-exact puts/gets flow both ways again.
+//! * **crash-during-allreduce** — survivors waiting in a barrier-free
+//!   workspace allreduce for a crashed contributor fail with the typed
+//!   `PeFailed` within the detection floor, not the 60 s wait timeout.
+//!   Under `Degrade` the retry reduces over the live PEs and agrees
+//!   everywhere; under `Fail` every later collective is refused.
 //!
 //! Every cell runs under two seeds; the seed drives the background
 //! data-doorbell drop noise layered on top of the deterministic,
@@ -37,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use shmem_ntb::net::{check, HeartbeatConfig, RetryPolicy, Topology};
 use shmem_ntb::shmem::{
-    BarrierAlgorithm, CmpOp, DegradedPolicy, ShmemConfig, ShmemError, ShmemWorld,
+    BarrierAlgorithm, CmpOp, DegradedPolicy, ReduceOp, ShmemConfig, ShmemError, ShmemWorld,
 };
 use shmem_ntb::sim::{render_events, EventLog, FaultPlan};
 
@@ -428,6 +433,92 @@ fn run_rejoin_after_crash(seed: u64) {
     certify(&format!("rejoin-after-crash-{seed}"), &results[0]);
 }
 
+/// Cell: the victim crashes instead of contributing to an allreduce the
+/// survivors are already waiting in. The workspace allreduce has no
+/// barrier to time out, so its slot waits poll the failure detector:
+/// every survivor's attempt fails with `PeFailed` naming the victim
+/// within the detection floor. Under `Degrade` the retried call reduces
+/// over the live PEs (and agrees everywhere); under `Fail` it is refused
+/// at entry, like every other collective.
+fn run_crash_during_allreduce(seed: u64, policy: DegradedPolicy) {
+    // `wait_timeout` keeps its 60 s default: only the membership poll
+    // can make the stalled wait resolve within `PROMPT`.
+    let cfg = crash_cfg(seed, policy);
+    assert_eq!(cfg.wait_timeout, Duration::from_secs(60));
+    let results = ShmemWorld::run(cfg, |ctx| {
+        let log = ctx.node().obs().log().expect("observed world");
+        log.enable();
+        let me = ctx.my_pe();
+        let all: u64 = (1..=HOSTS as u64).sum();
+        let healthy = ctx.allreduce(ReduceOp::Sum, &[me as u64 + 1]).expect("healthy allreduce");
+        assert_eq!(healthy, [all]);
+
+        if me == VICTIM {
+            ctx.quiet().expect("pre-crash quiet");
+            std::thread::sleep(BEAT_WARMUP);
+            ctx.node().crash();
+            return Arc::clone(log);
+        }
+
+        // The victim never contributes: this attempt waits for it until
+        // the detector confirms the death.
+        let t0 = Instant::now();
+        let first = ctx.allreduce(ReduceOp::Sum, &[me as u64 + 1]);
+        assert!(
+            t0.elapsed() < PROMPT,
+            "pe {me}: stalled allreduce took {:?}, well over the detection floor",
+            t0.elapsed()
+        );
+        match first {
+            Err(ShmemError::PeFailed { pe, .. }) => assert_eq!(pe, VICTIM, "pe {me}: wrong PE"),
+            other => panic!("pe {me}: expected PeFailed, got {other:?}"),
+        }
+        let survivors = all - (VICTIM as u64 + 1);
+        match policy {
+            DegradedPolicy::Degrade => {
+                // Live contributors only, bit-identical on every survivor.
+                let deadline = Instant::now() + PROMPT;
+                let sum = loop {
+                    match ctx.allreduce(ReduceOp::Sum, &[me as u64 + 1]) {
+                        Ok(v) => break v,
+                        Err(ShmemError::PeFailed { pe, .. }) => {
+                            assert_eq!(pe, VICTIM, "only the victim may be reported dead");
+                            assert!(
+                                Instant::now() < deadline,
+                                "degraded allreduce never converged"
+                            );
+                        }
+                        Err(e) => panic!("pe {me}: unexpected allreduce error: {e}"),
+                    }
+                };
+                assert_eq!(sum, [survivors], "pe {me}: degraded sum over the live PEs");
+                let again = ctx.allreduce(ReduceOp::Sum, &[1u64]).expect("second degraded");
+                assert_eq!(again, [HOSTS as u64 - 1]);
+                barrier_until_degraded_ok(ctx);
+            }
+            DegradedPolicy::Fail => {
+                await_membership("victim eviction", || !ctx.is_pe_live(VICTIM));
+                match ctx.allreduce(ReduceOp::Sum, &[1u64]) {
+                    Err(ShmemError::PeFailed { pe, .. }) => assert_eq!(pe, VICTIM),
+                    other => panic!("pe {me}: strict policy must refuse, got {other:?}"),
+                }
+            }
+        }
+        ctx.quiet().ok();
+        assert!(!ctx.is_pe_live(VICTIM), "victim must stay evicted");
+        Arc::clone(log)
+    })
+    .expect("world");
+    let label = format!("crash-during-allreduce-{policy:?}-{seed}");
+    let report = certify_pes(&label, &results[0], HOSTS);
+    assert!(
+        report.puts_checked >= 2 * (HOSTS - 1),
+        "{label}: only {} put chunks certified",
+        report.puts_checked
+    );
+    assert!(report.membership_updates_checked >= 1, "{label}: eviction never certified");
+}
+
 // ---------------------------------------------------------------------------
 // Torus crash: the victim dies inside a 16-PE dissemination barrier on a
 // 4x4 torus. Unlike the ring cells above, barrier flags here are *routed*
@@ -583,4 +674,14 @@ crash_matrix! {
     rejoin_after_crash_seed23 => run_rejoin_after_crash(23);
     crash_during_dissemination_barrier_seed7 => run_crash_during_dissemination_barrier(7);
     crash_during_dissemination_barrier_seed23 => run_crash_during_dissemination_barrier(23);
+}
+
+#[test]
+fn crash_during_allreduce_degrade_seed7() {
+    run_crash_during_allreduce(7, DegradedPolicy::Degrade);
+}
+
+#[test]
+fn crash_during_allreduce_fail_seed23() {
+    run_crash_during_allreduce(23, DegradedPolicy::Fail);
 }

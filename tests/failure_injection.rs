@@ -4,7 +4,7 @@
 //! recovery scenarios (dropped doorbells, corrupted payloads, link-down
 //! windows, retry exhaustion).
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,8 +13,8 @@ use shmem_ntb::net::{
 };
 use shmem_ntb::shmem::{OpOptions, ShmemConfig, ShmemError, ShmemWorld};
 use shmem_ntb::sim::{
-    connect_ports, DoorbellWaiter, FaultAction, FaultPlan, HostMemory, LinkHealth, NtbError,
-    PortConfig, Region, TimeModel, TransferMode,
+    connect_ports, DoorbellWaiter, EventKind, FaultAction, FaultPlan, HostMemory, LinkHealth,
+    NtbError, PortConfig, Region, TimeModel, TransferMode,
 };
 
 #[test]
@@ -443,6 +443,47 @@ fn shmem_get_deadline_is_typed_at_the_api() {
         ctx.barrier_all().unwrap();
     })
     .unwrap();
+}
+
+#[test]
+fn every_put_is_resolved_in_the_trace_when_quiet_returns() {
+    // A put's resolution event (`PutAcked`) must be in the trace by the
+    // time `quiet` returns: emitted after the waiter was woken, a trace
+    // taken right after `quiet` could miss it. Spinning threads keep the
+    // cores busy so the service thread gets descheduled in that window.
+    let (net, _heaps) = build_lossy(2, FaultPlan::none());
+    net.obs_enable();
+    let stop = Arc::new(AtomicBool::new(false));
+    let hogs: Vec<_> = (0..2)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        })
+        .collect();
+    let mut missing = Vec::new();
+    for round in 0..400u64 {
+        let payload = [round as u8; 64];
+        net.node(0).put_bytes(1, (round % 8) * 64, &payload, TransferMode::Memcpy).unwrap();
+        net.node(0).quiet().unwrap();
+        let events = net.take_events();
+        let ids = |kind: EventKind| {
+            events.iter().filter(move |e| e.kind == kind && e.pe == 0).map(|e| e.op_id)
+        };
+        let acked: Vec<u64> = ids(EventKind::PutAcked).collect();
+        missing.extend(ids(EventKind::PutIssue).filter(|id| !acked.contains(id)));
+    }
+    stop.store(true, Ordering::Relaxed);
+    for hog in hogs {
+        hog.join().unwrap();
+    }
+    assert!(
+        missing.is_empty(),
+        "quiet returned before these puts resolved in the trace: {missing:?}"
+    );
 }
 
 #[test]
