@@ -24,7 +24,9 @@
 //!    registered lifecycle event from [`manifest::EVENT_PAIRS`], or
 //!    inserts into a pending table per [`manifest::CALL_PAIRS`]) must
 //!    reach a paired resolution on every control-flow exit, or carry
-//!    `// RESOLVES(<event>): why`.
+//!    `// RESOLVES(<event>): why`; and a resolution event owned by a
+//!    table ([`manifest::EMIT_OWNERS`]) is emitted only in the owner's
+//!    module.
 //! 6. **deadline-clip** — blocking wait primitives must derive their
 //!    timeout from a deadline-clipped expression, or carry
 //!    `// DEADLINE-CLIPPED: why`.

@@ -218,7 +218,6 @@ pub const LOCK_SITES: &[LockSite] = &[
     LockSite { file_suffix: "ntb-net/src/network.rs", receiver: "chaos", class: "net-admin" },
     LockSite { file_suffix: "ntb-net/src/slots.rs", receiver: "state", class: "net-txring" },
     LockSite { file_suffix: "ntb-net/src/mailbox.rs", receiver: "seq", class: "net-mailbox" },
-    LockSite { file_suffix: "ntb-net/src/trace.rs", receiver: "events", class: "obs" },
     LockSite {
         file_suffix: "ntb-net/src/lockdep.rs",
         receiver: "STATE",
@@ -319,6 +318,27 @@ pub const EVENT_PAIRS: &[EventPair] = &[
         resolve_calls: &["refund"],
     },
 ];
+
+/// Resolution events that only the structure owning the op's table may
+/// emit: it records them under its own lock, before any waiter can see
+/// the op resolved. An emit anywhere else can trail the wake-up it
+/// reports (checker invariant 1 then reads an unresolved put).
+#[derive(Debug, Clone, Copy)]
+pub struct EmitOwner {
+    /// `EventKind` variants reserved to the owner.
+    pub events: &'static [&'static str],
+    /// File suffix of the owning module.
+    pub owner: &'static str,
+    /// The owning structure, named in findings.
+    pub table: &'static str,
+}
+
+/// Owned resolution events (rule `resolution`).
+pub const EMIT_OWNERS: &[EmitOwner] = &[EmitOwner {
+    events: &["PutAcked", "PutAbandon"],
+    owner: "ntb-net/src/pending.rs",
+    table: "UnackedPuts",
+}];
 
 /// One classified protocol-table acquire call: `<receiver>.<method>(..)`
 /// inserts an entry that must later be resolved by one of `resolutions`.

@@ -23,6 +23,11 @@
 //! resolution, but it reliably catches the real defect class — an early
 //! `return` or `?` between acquire and resolve — which is what PRs 2, 6
 //! and 7 each fixed by hand.
+//!
+//! Second check, ownership: a resolution event listed in
+//! [`manifest::EMIT_OWNERS`] may be emitted only in its owner's module.
+//! The owner emits under the table lock before waking waiters; an emit
+//! after `unacked.ack(..)` returns races the woken `quiet`.
 
 use crate::lexer::{Tok, TokKind};
 use crate::parse::ExitKind;
@@ -53,6 +58,7 @@ pub(crate) fn run(
         return;
     }
     let toks = &ctx.toks;
+    check_owned_emits(ctx, out);
 
     // One-level call graph: which resolution tokens does each local fn
     // contain? (event variants emitted + methods called)
@@ -125,6 +131,56 @@ pub(crate) fn run(
             }
         }
     }
+}
+
+/// Flag emits of owned resolution events outside their owner's module:
+/// `EventKind::<X>` as an argument of an `emit`/`emit_link` call.
+fn check_owned_emits(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+    let norm = ctx.file.replace('\\', "/");
+    let toks = &ctx.toks;
+    for (i, t) in toks.iter().enumerate() {
+        let is_path = t.kind == TokKind::Ident
+            && t.text == "EventKind"
+            && toks.get(i + 1).is_some_and(|u| u.text == ":");
+        if !is_path || ctx.in_test(t.line) {
+            continue;
+        }
+        let Some(v) = toks.get(i + 3) else { continue };
+        let Some(own) = manifest::EMIT_OWNERS
+            .iter()
+            .find(|o| o.events.contains(&v.text.as_str()) && !norm.ends_with(o.owner))
+        else {
+            continue;
+        };
+        if !matches!(enclosing_call(toks, i), Some("emit" | "emit_link")) {
+            continue;
+        }
+        out.push(Finding {
+            file: ctx.file.to_string(),
+            line: v.line,
+            rule: "resolution",
+            message: format!(
+                "`{}` is emitted outside `{}`: only `{}` may record it, under its lock and \
+                 before waking waiters; call the table's resolver (ack/fail/withdraw) instead",
+                v.text, own.owner, own.table
+            ),
+        });
+    }
+}
+
+/// Name of the call whose argument list encloses token `idx`, if any.
+fn enclosing_call(toks: &[Tok], idx: usize) -> Option<&str> {
+    let mut depth = 0usize;
+    for j in (0..idx).rev() {
+        match toks[j].text.as_str() {
+            ")" | "]" | "}" => depth += 1,
+            "(" | "[" | "{" if depth > 0 => depth -= 1,
+            "(" => return j.checked_sub(1).map(|p| toks[p].text.as_str()),
+            "[" | "{" | ";" => return None,
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Find acquire sites in `[from, to]`.
@@ -279,6 +335,23 @@ mod tests {
                    }";
         let out = findings(src);
         assert!(out.iter().all(|f| f.rule != "resolution"), "{out:?}");
+    }
+
+    #[test]
+    fn owned_resolution_emits_outside_the_owner_are_flagged() {
+        let src = "fn on_ack(&self, id: u32) {\n\
+                   if self.unacked.ack(id) {\n\
+                   self.obs.emit(EventKind::PutAcked, u64::from(id), [0, 0]);\n\
+                   }\n\
+                   }";
+        let out = findings(src);
+        assert!(out.iter().any(|f| f.rule == "resolution" && f.line == 3), "{out:?}");
+        let owned = scan_source("crates/ntb-net/src/pending.rs", src, FileMode::Workspace);
+        assert!(owned.iter().all(|f| f.rule != "resolution"), "{owned:?}");
+        // Naming the event outside an emit (a checker match arm, a kind
+        // handed to the owner) is not an emit.
+        let arm = "fn f(k: EventKind) -> bool { matches!(k, EventKind::PutAcked) }";
+        assert!(findings(arm).is_empty());
     }
 
     #[test]

@@ -76,6 +76,14 @@ fn resolution_fixtures() {
         msg.contains("leaky_get") && msg.contains("RESOLVES("),
         "finding names the function and the annotation escape hatch: {msg}"
     );
+    // Owned resolution events are emitted only by the owning table.
+    assert_clean("resolution_owner_pass.rs");
+    assert_flags("resolution_owner_fail.rs", "resolution", 1);
+    let msg = &scan("resolution_owner_fail.rs")[0].message;
+    assert!(
+        msg.contains("PutAcked") && msg.contains("UnackedPuts"),
+        "finding names the event and its owner: {msg}"
+    );
 }
 
 #[test]

@@ -21,7 +21,6 @@ use crate::config::NetConfig;
 use crate::handshake::exchange_link_info;
 use crate::node::NtbNode;
 use crate::topology::{Shape, TopoGraph};
-use crate::trace::{to_chrome_json, TraceRecord, Tracer};
 
 /// Worlds beyond this many hosts automatically switch the time model to
 /// coarse (sleeping) waits. The paper-scale worlds (≤ 5 hosts) and every
@@ -217,7 +216,6 @@ impl RingNetwork {
             model.coarse_waits = true;
         }
         let model = Arc::new(model);
-        let tracer = Arc::new(Tracer::default());
         let event_log = EventLog::new(n, DEFAULT_TRACE_CAPACITY);
         let mems: Vec<Arc<HostMemory>> =
             (0..n).map(|i| HostMemory::new(i, config.host_mem_capacity)).collect();
@@ -288,7 +286,6 @@ impl RingNetwork {
                     Arc::clone(&model),
                     Arc::clone(&mems[i]),
                     Arc::new(AtomicBool::new(false)),
-                    Arc::clone(&tracer),
                     Arc::clone(&event_log),
                     MetricsRegistry::new(num_links),
                     host_ports,
@@ -383,29 +380,6 @@ impl RingNetwork {
     /// The shared time model.
     pub fn model(&self) -> Arc<TimeModel> {
         Arc::clone(self.nodes[0].model())
-    }
-
-    /// Start recording protocol events on every host (one shared clock).
-    pub fn enable_tracing(&self) {
-        self.nodes[0].tracer().enable();
-    }
-
-    /// Stop recording protocol events.
-    pub fn disable_tracing(&self) {
-        self.nodes[0].tracer().disable();
-    }
-
-    /// Take the recorded events, sorted by timestamp.
-    pub fn take_trace(&self) -> Vec<TraceRecord> {
-        let mut events = self.nodes[0].tracer().take();
-        events.sort_by(|a, b| a.t_us.total_cmp(&b.t_us));
-        events
-    }
-
-    /// Take the recorded events as Chrome tracing JSON
-    /// (`chrome://tracing` / Perfetto).
-    pub fn take_trace_json(&self) -> String {
-        to_chrome_json(&self.take_trace())
     }
 
     /// The unified structured event log shared by every layer of this

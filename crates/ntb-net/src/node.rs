@@ -10,7 +10,7 @@
 //! retransmission inevitably creates.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,57 +37,6 @@ use crate::membership::{
 use crate::pending::{PendingOps, UnackedPuts};
 use crate::slots::{RxSlotRing, TxSlotRing};
 use crate::topology::{RingTopology, RouteDirection, Shape, TopoGraph, Topology};
-use crate::trace::{TraceKind, Tracer};
-
-/// Counters of one node's protocol activity.
-#[derive(Debug, Default)]
-pub struct NodeStats {
-    /// Frames received and handled by the service threads.
-    pub frames_rx: AtomicU64,
-    /// Frames forwarded around the ring (this host was an intermediate).
-    pub forwards: AtomicU64,
-    /// Put chunks delivered into the local symmetric space.
-    pub puts_delivered: AtomicU64,
-    /// Get requests served from the local symmetric space.
-    pub gets_served: AtomicU64,
-    /// Put acknowledgements received back at this origin.
-    pub acks_received: AtomicU64,
-    /// Atomic operations executed at this host.
-    pub amos_served: AtomicU64,
-    /// Frames retransmitted after an acknowledgement timeout (puts by the
-    /// sweeper, get/AMO requests by the bounded requester wait).
-    pub retransmits: AtomicU64,
-    /// Inbound frames dropped because the payload CRC did not match.
-    pub checksum_rejects: AtomicU64,
-    /// Sends steered away from a `Down` endpoint (the long way around).
-    pub reroutes: AtomicU64,
-    /// Duplicate deliveries suppressed (retransmitted puts/AMOs already
-    /// applied, duplicated get-response chunks already deposited).
-    pub duplicates_suppressed: AtomicU64,
-    /// Probe writes issued to `Down` endpoints by the sweeper.
-    pub probes_sent: AtomicU64,
-    /// Endpoint transitions into the `Down` state.
-    pub link_down_events: AtomicU64,
-}
-
-impl NodeStats {
-    fn bump(counter: &AtomicU64) {
-        // lint: relaxed-ok(monotonic event counter; readers only need eventual totals)
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sum of all recovery-path counters — zero on a clean run.
-    pub fn recovery_total(&self) -> u64 {
-        // lint: relaxed-ok(monotonic counters summed for diagnostics; staleness is fine)
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ld(&self.retransmits)
-            + ld(&self.checksum_rejects)
-            + ld(&self.reroutes)
-            + ld(&self.duplicates_suppressed)
-            + ld(&self.probes_sent)
-            + ld(&self.link_down_events)
-    }
-}
 
 /// How many recently-seen put ids (per node, across all origins) are
 /// remembered for duplicate suppression. Retransmission timeouts bound
@@ -259,14 +208,12 @@ pub struct NtbNode {
     pub(crate) rejoining: AtomicBool,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) threads: Mutex<Vec<JoinHandle<()>>>,
-    pub(crate) stats: NodeStats,
     pub(crate) errors: Mutex<Vec<NtbError>>,
     pub(crate) mem: Arc<HostMemory>,
-    pub(crate) tracer: Arc<Tracer>,
     /// Node-scoped event handle (`link = NO_LINK`).
     pub(crate) obs: Obs,
-    /// Per-PE metrics: op latency histograms plus counters indexed by
-    /// physical link. Always on.
+    /// Per-PE metrics: the protocol counters, indexed by physical link
+    /// (always on), plus op latency histograms (filled while tracing).
     pub(crate) metrics: Arc<MetricsRegistry>,
     /// The network's shared time origin for wire deadlines: every host's
     /// `deadline_us` values are microseconds since this instant, so a
@@ -311,7 +258,6 @@ impl NtbNode {
         model: Arc<TimeModel>,
         mem: Arc<HostMemory>,
         shutdown: Arc<AtomicBool>,
-        tracer: Arc<Tracer>,
         event_log: Arc<EventLog>,
         metrics: Arc<MetricsRegistry>,
         ports: Vec<(usize, usize, Arc<NtbPort>)>,
@@ -389,10 +335,8 @@ impl NtbNode {
             rejoining: AtomicBool::new(false),
             shutdown,
             threads: Mutex::new(Vec::new()),
-            stats: NodeStats::default(),
             errors: Mutex::new(Vec::new()),
             mem,
-            tracer,
             obs,
             metrics,
             config,
@@ -494,7 +438,6 @@ impl NtbNode {
         {
             if let Some(alt) = self.detour_hop(dest, view, hop) {
                 let other = self.endpoint_to(alt);
-                NodeStats::bump(&self.stats.reroutes);
                 self.metrics.bump_link(preferred.link_idx, |l| &l.reroutes);
                 preferred.obs.emit(EventKind::Reroute, 0, [other.link_idx as u64, dest as u64]);
                 return other;
@@ -586,24 +529,10 @@ impl NtbNode {
         std::mem::take(&mut *self.errors.lock())
     }
 
-    /// The shared protocol tracer (one clock for the whole network).
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// Record a protocol trace event at this host.
-    pub(crate) fn trace(&self, kind: TraceKind, src: usize, dest: usize, len: u32) {
-        self.tracer.record(self.topo.me, kind, src, dest, len);
-    }
-
-    /// Protocol counters.
-    pub fn stats(&self) -> &NodeStats {
-        &self.stats
-    }
-
-    /// This PE's metrics registry: latency histograms per op class plus
-    /// counters per physical link. Always on (a handful of relaxed
-    /// atomics per op).
+    /// This PE's metrics registry: the protocol counters per physical
+    /// link, always on (a relaxed atomic add per event; per-PE totals via
+    /// [`MetricsRegistry::link_sum`]), plus latency histograms per op
+    /// class, filled while tracing is enabled.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -698,7 +627,7 @@ impl NtbNode {
             Err(e) if e.is_transient() || matches!(e, NtbError::LinkFailed { .. }) => {
                 let was_down = ep.health.is_down();
                 if ep.health.record_failure() == LinkHealth::Down && !was_down {
-                    NodeStats::bump(&self.stats.link_down_events);
+                    self.metrics.bump_link(ep.link_idx, |l| &l.link_down_events);
                     ep.obs.emit(EventKind::LinkDown, 0, [0, 0]);
                 }
             }
@@ -905,7 +834,6 @@ impl NtbNode {
         heap_offset: u32,
         chunk: &[u8],
         mode: TransferMode,
-        retransmit: bool,
         defer_flush: bool,
         deadline_us: u32,
     ) -> Result<()> {
@@ -938,7 +866,6 @@ impl NtbNode {
         let terminating = ep.neighbor == dest;
         let frame = Frame::put(self.topo.me, dest, chunk.len() as u32, heap_offset, put_id, mode)
             .with_deadline_us(deadline_us);
-        self.trace(TraceKind::FrameSent, self.topo.me, dest, chunk.len() as u32);
         // Any chunk that fits a slot lane rides the coalescing ring —
         // including routed chunks whose next hop is only an intermediate
         // host (the drain side routes non-terminating slot frames onward
@@ -983,9 +910,6 @@ impl NtbNode {
                 );
             }
             self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
-            if retransmit {
-                self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
-            }
         }
         result
     }
@@ -1005,7 +929,7 @@ impl NtbNode {
         self.obs.emit(EventKind::PutIssue, u64::from(put_id), [dest as u64, chunk.len() as u64]);
         // Always staged-deferred on the ring path: `put_bytes` flushes
         // once per call (or leaves the batch for quiet / the batch cap).
-        match self.transmit_put(put_id, dest, offset, chunk, mode, false, true, deadline_us) {
+        match self.transmit_put(put_id, dest, offset, chunk, mode, true, deadline_us) {
             Ok(()) => Ok(()),
             // A transiently failed first transmission stays registered:
             // the retry sweeper owns it from here (retransmission,
@@ -1176,7 +1100,6 @@ impl NtbNode {
         for &(sub_off, sub_len) in &subs[..primed] {
             let req_id = self.pending.register(sub_len, src);
             self.obs.emit(EventKind::GetReqTx, u64::from(req_id), [heap_offset + sub_off, sub_len]);
-            self.trace(TraceKind::FrameSent, self.topo.me, src, 0);
             ids.push(req_id);
             if let Err(e) = self.send_get_req(
                 src,
@@ -1222,7 +1145,6 @@ impl NtbNode {
                 &self.config.retry,
                 op_deadline,
                 |attempt| {
-                    NodeStats::bump(&self.stats.retransmits);
                     self.obs.emit(
                         EventKind::Retransmit,
                         u64::from(req_id),
@@ -1257,7 +1179,6 @@ impl NtbNode {
                             u64::from(id),
                             [heap_offset + n_off, n_len],
                         );
-                        self.trace(TraceKind::FrameSent, self.topo.me, src, 0);
                         ids.push(id);
                         next += 1;
                         if let Err(e) = self.send_get_req(
@@ -1326,6 +1247,9 @@ impl NtbNode {
         }
         self.check_alive(src)?;
         let ep = self.endpoint_for(src);
+        if retransmit {
+            self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
+        }
         let frame =
             Frame::get_req(self.topo.me, src, len31(sub_len)?, offset32(abs_offset)?, req_id, mode)
                 .with_deadline_us(deadline_us);
@@ -1346,9 +1270,6 @@ impl NtbNode {
                     u64::from(req_id),
                     [u64::from(deadline_us), u64::from(now)],
                 );
-            }
-            if retransmit {
-                self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
             }
         }
         result
@@ -1390,7 +1311,6 @@ impl NtbNode {
                 self.obs.emit(EventKind::GetReqTx, u64::from(req_id), [heap_offset, len]);
                 self.obs.emit(EventKind::GetChunkRx, u64::from(req_id), [0, len]);
                 self.obs.emit(EventKind::GetDone, u64::from(req_id), [heap_offset, len]);
-                self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
                 Ok(Some(buf))
             }
             // Out of the exposed mapping — an oversized heap offset the
@@ -1454,6 +1374,9 @@ impl NtbNode {
             }
             self.check_alive(target)?;
             let ep = self.endpoint_for(target);
+            if retransmit {
+                self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
+            }
             let terminating = ep.neighbor == target;
             let area = self.layout.area_offset(terminating);
             let result = ep.tx.send(frame, |port| {
@@ -1469,9 +1392,6 @@ impl NtbNode {
                         u64::from(req_id),
                         [u64::from(deadline_us), u64::from(now)],
                     );
-                }
-                if retransmit {
-                    self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
                 }
             }
             result
@@ -1493,7 +1413,6 @@ impl NtbNode {
             &self.config.retry,
             op_deadline,
             |attempt| {
-                NodeStats::bump(&self.stats.retransmits);
                 self.obs.emit(EventKind::Retransmit, u64::from(req_id), [u64::from(attempt), 0]);
                 send_req(true)
             },
@@ -1547,16 +1466,15 @@ impl NtbNode {
     /// is spent (down windows are timed, so recovery is the common case).
     pub fn send_barrier(&self, dir: RouteDirection, start: bool) -> Result<()> {
         let bit = if start { DB_BARRIER_START } else { DB_BARRIER_END };
-        let peer = self.endpoint(dir).neighbor;
-        self.trace(TraceKind::BarrierSignal, self.topo.me, peer, 0);
+        let ep = self.endpoint(dir);
         let policy = &self.config.retry;
         let mut attempt: u32 = 0;
         loop {
-            match self.endpoint(dir).port.ring_peer(bit) {
+            match ep.port.ring_peer(bit) {
                 Ok(()) => return Ok(()),
                 Err(e) if e.is_transient() && attempt < policy.max_retries => {
                     attempt += 1;
-                    NodeStats::bump(&self.stats.retransmits);
+                    self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
                     // DEADLINE-CLIPPED: barrier doorbells carry no op deadline;
                     // the backoff is bounded by the retry budget above.
                     std::thread::sleep(policy.backoff(attempt - 1).max(Duration::from_millis(1)));
@@ -1661,51 +1579,6 @@ impl NtbNode {
         }
     }
 
-    /// Record a frame handled (service module helper).
-    pub(crate) fn count_frame(&self) {
-        NodeStats::bump(&self.stats.frames_rx);
-    }
-
-    /// Record a forward (service module helper).
-    pub(crate) fn count_forward(&self) {
-        NodeStats::bump(&self.stats.forwards);
-    }
-
-    /// Record a delivered put chunk.
-    pub(crate) fn count_put_delivered(&self) {
-        NodeStats::bump(&self.stats.puts_delivered);
-    }
-
-    /// Record a served get.
-    pub(crate) fn count_get_served(&self) {
-        NodeStats::bump(&self.stats.gets_served);
-    }
-
-    /// Record a received put ack.
-    pub(crate) fn count_ack(&self) {
-        NodeStats::bump(&self.stats.acks_received);
-    }
-
-    /// Record a served AMO.
-    pub(crate) fn count_amo(&self) {
-        NodeStats::bump(&self.stats.amos_served);
-    }
-
-    /// Record a retransmission.
-    pub(crate) fn count_retransmit(&self) {
-        NodeStats::bump(&self.stats.retransmits);
-    }
-
-    /// Record a checksum-rejected inbound frame.
-    pub(crate) fn count_checksum_reject(&self) {
-        NodeStats::bump(&self.stats.checksum_rejects);
-    }
-
-    /// Record a suppressed duplicate delivery.
-    pub(crate) fn count_duplicate(&self) {
-        NodeStats::bump(&self.stats.duplicates_suppressed);
-    }
-
     /// Probe every `Down` endpoint with a one-byte write to the probe
     /// word of the peer's control slot; a successful write proves the
     /// path works again and snaps the endpoint back to `Up`.
@@ -1714,7 +1587,7 @@ impl NtbNode {
             if !ep.health.is_down() {
                 continue;
             }
-            NodeStats::bump(&self.stats.probes_sent);
+            self.metrics.bump_link(ep.link_idx, |l| &l.probes_sent);
             ep.obs.emit(EventKind::ProbeTx, 0, [0, 0]);
             if ep
                 .port

@@ -26,10 +26,11 @@
 //! (a corrupted payload is dropped and recovered by retransmission), and
 //! deliveries are deduplicated so retransmissions stay idempotent.
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ntb_sim::{DoorbellWaiter, EventKind, Result};
+use ntb_sim::{DoorbellWaiter, EventKind, LinkMetrics, Result};
 
 use crate::crc::crc32;
 use crate::doorbells::{DB_DMAGET, DB_DMAPUT, DB_GOSSIP, DB_SHUTDOWN, SERVICE_INTEREST};
@@ -39,7 +40,6 @@ use crate::membership::{rejoin_signature, BeatMonitor, BeatVerdict, REJOIN_FLAG}
 use crate::node::NtbNode;
 use crate::pending::FillOutcome;
 use crate::slots::SlotRead;
-use crate::trace::TraceKind;
 
 /// How long the service loop sleeps between shutdown-flag checks when the
 /// doorbell stays silent. Doubles as the lost-doorbell recovery latency:
@@ -230,8 +230,6 @@ fn heartbeat_tick(node: &Arc<NtbNode>, idx: usize, st: &mut HeartbeatState, goss
 
 /// Handle one decoded frame that arrived on endpoint `idx`.
 fn handle_frame(node: &Arc<NtbNode>, idx: usize, frame: Frame) -> Result<()> {
-    node.count_frame();
-    node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
     {
         let ep = &node.endpoints[idx];
         ep.obs.emit(
@@ -290,14 +288,12 @@ fn handle_frame(node: &Arc<NtbNode>, idx: usize, frame: Frame) -> Result<()> {
                 .map_err(|_| ntb_sim::NtbError::BadDescriptor { reason: "short CRC slot read" })?;
             let expected_crc = u32::from_le_bytes(crc_arr);
             if crc32(&data) != expected_crc {
-                node.count_checksum_reject();
                 node.metrics.bump_link(ep.link_idx, |l| &l.crc_rejects);
                 ep.obs.emit(
                     EventKind::CrcReject,
                     u64::from(frame.aux),
                     [frame.src as u64, frame.dest as u64],
                 );
-                node.trace(TraceKind::FrameHandled, frame.src, frame.dest, 0);
                 ep.rx.ack()?;
                 // The header decoded fine, so the source is known: the
                 // neighbour's consumed credit is still re-granted — a
@@ -344,7 +340,7 @@ fn handle_frame(node: &Arc<NtbNode>, idx: usize, frame: Frame) -> Result<()> {
         forward_onward(node, idx, frame, payload);
         return Ok(());
     }
-    dispatch_frame(node, frame, payload)
+    dispatch_frame(node, ep.link_idx, frame, payload)
 }
 
 /// Hand a non-terminating frame to the onward forwarder (paper Fig. 5:
@@ -352,7 +348,6 @@ fn handle_frame(node: &Arc<NtbNode>, idx: usize, frame: Frame) -> Result<()> {
 /// Split horizon: never back out the arrival endpoint `idx`.
 fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option<Vec<u8>>) {
     let ep = &node.endpoints[idx];
-    node.trace(TraceKind::Forwarded, frame.src, frame.dest, frame.len);
     ep.obs.emit(EventKind::FrameFwd, u64::from(frame.aux), [frame.src as u64, frame.dest as u64]);
     let out = node.forward_endpoint(frame.dest, idx);
     // The bypass-buffer staging cost only applies to payloads that will
@@ -371,7 +366,7 @@ fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option
     let now = node.now_us();
     let outcome = out.fwd.push(ForwardJob { frame, payload, think, attempts: 0 }, now);
     if node.note_push(out, outcome, aux, deadline_us, now) {
-        node.count_forward();
+        node.metrics.bump_link(ep.link_idx, |l| &l.forwards);
     }
 }
 
@@ -400,7 +395,6 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
                 // event — a corrupted record's sequence number cannot be
                 // trusted to pair with any publish); the sender's
                 // end-to-end retransmission recovers the frame.
-                node.count_checksum_reject();
                 node.metrics.bump_link(ep.link_idx(), |l| &l.crc_rejects);
                 ep.obs.emit(EventKind::CrcReject, 0, [ep.neighbor() as u64, u64::from(slot)]);
                 continue;
@@ -425,8 +419,6 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
             u64::from(drained.slot_seq),
             [ep.neighbor() as u64, u64::from(drained.slot_idx)],
         );
-        node.count_frame();
-        node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
         ep.obs.emit(
             EventKind::FrameRx,
             u64::from(frame.aux),
@@ -455,7 +447,7 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
             node.model().delay(node.model().window_copy_time(data.len() as u64));
         }
         let result = if frame.dest == node.host_id() {
-            dispatch_frame(node, frame, drained.payload)
+            dispatch_frame(node, ep.link_idx(), frame, drained.payload)
         } else {
             // Routed slot frames are the normal case on multi-hop shapes:
             // small chunks ride the ring on every hop, and intermediate
@@ -471,8 +463,15 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
 
 /// Terminating per-kind frame logic, shared by the scratchpad mailbox
 /// path ([`handle_frame`]) and the transmit-ring path ([`drain_ring`]).
-fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -> Result<()> {
+/// Its counters land on `link`, the physical link the frame arrived on.
+fn dispatch_frame(
+    node: &Arc<NtbNode>,
+    link: usize,
+    frame: Frame,
+    payload: Option<Vec<u8>>,
+) -> Result<()> {
     let me = node.host_id();
+    let count = |f: fn(&LinkMetrics) -> &AtomicU64| node.metrics.bump_link(link, f);
     match frame.kind {
         FrameKind::Put => {
             // Duplicate suppression: a retransmitted chunk whose first
@@ -484,15 +483,14 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             if fresh {
                 let data = payload.unwrap_or_default();
                 node.deliver()?.deliver_put(u64::from(frame.offset), &data)?;
-                node.count_put_delivered();
+                count(|l| &l.puts_delivered);
                 node.obs.emit(
                     EventKind::PutDeliver,
                     u64::from(frame.aux),
                     [frame.src as u64, u64::from(frame.offset)],
                 );
-                node.trace(TraceKind::PutDelivered, frame.src, frame.dest, frame.len);
             } else {
-                node.count_duplicate();
+                count(|l| &l.duplicates_suppressed);
                 node.obs.emit(
                     EventKind::DupSuppressed,
                     u64::from(frame.aux),
@@ -528,12 +526,11 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
         FrameKind::PutAck => {
             node.obs.emit(EventKind::AckRx, u64::from(frame.aux), [frame.src as u64, 0]);
             if node.unacked.ack(frame.aux) {
-                node.count_ack();
-                node.trace(TraceKind::AckReceived, frame.src, frame.dest, 0);
+                count(|l| &l.acks_received);
             } else {
                 // The put was already retired by an earlier copy of this
                 // ack (retransmission raced the acknowledgement).
-                node.count_duplicate();
+                count(|l| &l.duplicates_suppressed);
                 node.obs.emit(
                     EventKind::DupSuppressed,
                     u64::from(frame.aux),
@@ -545,8 +542,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             let mut data = vec![0u8; frame.len as usize];
             node.deliver()?.read_for_get(u64::from(frame.offset), &mut data)?;
             node.model().delay(node.model().local_copy_time(u64::from(frame.len)));
-            node.count_get_served();
-            node.trace(TraceKind::GetServed, frame.src, frame.dest, frame.len);
+            count(|l| &l.gets_served);
             if data.is_empty() {
                 // A zero-length get completes at the requester without a
                 // response (its pending entry was born complete).
@@ -608,7 +604,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
                     }
                 })?;
             if !matches!(outcome, FillOutcome::Filled) {
-                node.count_duplicate();
+                count(|l| &l.duplicates_suppressed);
             }
         }
         FrameKind::AmoReq => {
@@ -620,7 +616,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             // net-dedup lock across the forward below.
             let cached = node.amo_cache.lock().lookup(frame.src, frame.aux);
             if let Some(old) = cached {
-                node.count_duplicate();
+                count(|l| &l.duplicates_suppressed);
                 node.obs.emit(EventKind::AmoReplay, u64::from(frame.aux), [frame.src as u64, 0]);
                 let resp =
                     Frame::amo_resp(me, frame.src, frame.aux).with_deadline_us(frame.deadline_us);
@@ -662,9 +658,8 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
                 compare,
             )?;
             node.amo_cache.lock().insert(frame.src, frame.aux, old);
-            node.count_amo();
+            count(|l| &l.amos_served);
             node.obs.emit(EventKind::AmoApply, u64::from(frame.aux), [frame.src as u64, old]);
-            node.trace(TraceKind::AmoServed, frame.src, frame.dest, frame.len);
             let resp =
                 Frame::amo_resp(me, frame.src, frame.aux).with_deadline_us(frame.deadline_us);
             let out = node.endpoint_for(frame.src);
@@ -687,7 +682,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             }
             match node.pending.fill(frame.aux, 0, &data[0..8])? {
                 FillOutcome::Filled => {}
-                FillOutcome::Duplicate | FillOutcome::Stale => node.count_duplicate(),
+                FillOutcome::Duplicate | FillOutcome::Stale => count(|l| &l.duplicates_suppressed),
             }
         }
     }
@@ -800,7 +795,6 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
                 }
                 job.attempts += 1;
                 job.think = policy.backoff(job.attempts - 1).max(Duration::from_millis(1));
-                node.count_retransmit();
                 node.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
                 ep.obs.emit(
                     EventKind::Retransmit,
@@ -885,7 +879,7 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                 ep.obs.emit(EventKind::RetryShed, u64::from(id), [u64::from(put.attempts), 0]);
                 continue;
             }
-            node.count_retransmit();
+            node.metrics.bump_link(ep.link_idx(), |l| &l.retransmits);
             node.obs.emit(EventKind::Retransmit, u64::from(id), [u64::from(put.attempts), 0]);
             // Retransmissions flush immediately: the chunk is already
             // overdue, so trading the doorbell batching for latency is
@@ -896,7 +890,6 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                 put.heap_offset,
                 &put.data,
                 put.mode,
-                true,
                 false,
                 put.deadline_us,
             );

@@ -77,7 +77,7 @@ fn all_pairs_put_get_without_forwarding() {
     // The defining property of the mesh: nobody ever forwarded.
     for node in net.nodes() {
         assert_eq!(
-            node.stats().forwards.load(std::sync::atomic::Ordering::Relaxed),
+            node.metrics().link_sum(|l| &l.forwards),
             0,
             "host {} forwarded on a full mesh",
             node.host_id()

@@ -74,7 +74,7 @@ fn put_to_neighbor_delivers_and_acks() {
     net.node(0).quiet().expect("quiet");
     assert_eq!(heaps[1].region.read_vec(128, 4096).unwrap(), payload);
     assert_eq!(net.node(0).outstanding_puts(), 0);
-    assert_eq!(net.node(1).stats().puts_delivered.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(net.node(1).metrics().link_sum(|l| &l.puts_delivered), 1);
     assert_no_errors(&net);
 }
 
@@ -87,7 +87,7 @@ fn put_two_hops_forwards_through_bypass() {
     net.node(0).quiet().expect("quiet");
     assert_eq!(heaps[2].region.read_vec(0, 8192).unwrap(), payload);
     // Exactly one intermediate host forwarded (host 1, the rightward path).
-    let fwd1 = net.node(1).stats().forwards.load(std::sync::atomic::Ordering::Relaxed);
+    let fwd1 = net.node(1).metrics().link_sum(|l| &l.forwards);
     assert!(fwd1 >= 1, "host 1 should have forwarded");
     assert_no_errors(&net);
 }
@@ -105,7 +105,7 @@ fn put_chunking_spans_buffer_size() {
     net.node(0).quiet().expect("quiet");
     assert_eq!(heaps[1].region.read_vec(64, 20_000).unwrap(), payload);
     // ceil(20000/4096) = 5 chunks delivered.
-    assert_eq!(net.node(1).stats().puts_delivered.load(std::sync::atomic::Ordering::Relaxed), 5);
+    assert_eq!(net.node(1).metrics().link_sum(|l| &l.puts_delivered), 5);
     assert_no_errors(&net);
 }
 
@@ -327,36 +327,45 @@ fn shutdown_is_clean_and_idempotent() {
 
 #[test]
 fn trace_records_protocol_events() {
+    use ntb_net::FrameKind;
+    use ntb_sim::EventKind;
     let (net, heaps) = build(4);
-    net.enable_tracing();
+    net.obs_enable();
     net.node(0).put_bytes(2, 0, &[7u8; 4096], TransferMode::Dma).unwrap();
     net.node(0).quiet().expect("quiet");
-    heaps[1].region.write(0, &[3u8; 64]).unwrap();
-    let _ = net.node(0).get_bytes(1, 0, 64, TransferMode::Dma).unwrap();
-    net.disable_tracing();
-    let events = net.take_trace();
-    use ntb_net::TraceKind;
-    let kinds: Vec<TraceKind> = events.iter().map(|e| e.kind).collect();
-    assert!(kinds.contains(&TraceKind::FrameSent), "{kinds:?}");
-    assert!(kinds.contains(&TraceKind::FrameHandled));
-    assert!(kinds.contains(&TraceKind::Forwarded), "2-hop put forwards");
-    assert!(kinds.contains(&TraceKind::PutDelivered));
-    assert!(kinds.contains(&TraceKind::AckReceived));
-    assert!(kinds.contains(&TraceKind::GetServed));
-    // Timestamps sorted, hosts in range.
-    assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
-    assert!(events.iter().all(|e| e.host < 4));
-    // The delivery of the put happened at host 2.
+    heaps[1].region.write(0, &[3u8; 4096]).unwrap();
+    let _ = net.node(0).get_bytes(1, 0, 4096, TransferMode::Dma).unwrap();
+    net.obs_disable();
+    let events = net.take_events();
+    let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+    assert!(
+        kinds.contains(&EventKind::FrameTx) || kinds.contains(&EventKind::SlotPublish),
+        "{kinds:?}"
+    );
+    assert!(kinds.contains(&EventKind::FrameRx));
+    assert!(kinds.contains(&EventKind::FrameFwd), "2-hop put forwards");
+    assert!(kinds.contains(&EventKind::PutDeliver));
+    assert!(kinds.contains(&EventKind::AckRx));
+    // A served get: host 1 received the request, host 0 the data.
+    assert!(events.iter().any(|e| e.kind == EventKind::FrameRx
+        && e.pe == 1
+        && e.payload[0] == FrameKind::GetReq as u64));
+    assert!(events.iter().any(|e| e.kind == EventKind::GetChunkRx && e.pe == 0));
+    // Emission order is time order; PEs in range.
+    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq && w[0].t_us <= w[1].t_us));
+    assert!(events.iter().all(|e| e.pe < 4));
+    // The delivery of the put (from host 0, at offset 0) happened at host 2.
     assert!(events
         .iter()
-        .any(|e| e.kind == TraceKind::PutDelivered && e.host == 2 && e.len == 4096));
-    // JSON export is renderable and non-trivial.
+        .any(|e| e.kind == EventKind::PutDeliver && e.pe == 2 && e.payload == [0, 0]));
+    // The Chrome export renders the run on per-PE tracks.
     let (net2, _h2) = build(2);
-    net2.enable_tracing();
+    net2.obs_enable();
     net2.node(0).put_bytes(1, 0, &[1u8; 16], TransferMode::Dma).unwrap();
     net2.node(0).quiet().expect("quiet");
-    let json = net2.take_trace_json();
-    assert!(json.starts_with('[') && json.contains("put_delivered"));
+    let json = ntb_sim::events_to_chrome_json(&net2.take_events());
+    assert!(json.starts_with('[') && json.contains("put_deliver"), "{json}");
+    assert!(json.contains(r#""pid":1"#), "{json}");
 }
 
 #[test]
@@ -364,7 +373,69 @@ fn trace_disabled_by_default() {
     let (net, _heaps) = build(2);
     net.node(0).put_bytes(1, 0, &[1u8; 16], TransferMode::Dma).unwrap();
     net.node(0).quiet().expect("quiet");
-    assert!(net.take_trace().is_empty());
+    assert!(net.take_events().is_empty());
+}
+
+/// The per-link counters and the event log describe one run: on a clean
+/// traced ring every counted frame, forward, delivery, ack and AMO is
+/// also exactly one event.
+#[test]
+fn link_counters_agree_with_the_event_log() {
+    use ntb_sim::{EventKind, LinkMetrics};
+    use std::sync::atomic::AtomicU64;
+    type Counter = fn(&LinkMetrics) -> &AtomicU64;
+    let pairs: [(Counter, &[EventKind]); 6] = [
+        (|l| &l.frames_tx, &[EventKind::FrameTx, EventKind::SlotPublish]),
+        (|l| &l.frames_rx, &[EventKind::FrameRx]),
+        (|l| &l.forwards, &[EventKind::FrameFwd]),
+        (|l| &l.puts_delivered, &[EventKind::PutDeliver]),
+        (|l| &l.acks_received, &[EventKind::AckRx]),
+        (|l| &l.amos_served, &[EventKind::AmoApply]),
+    ];
+    let (net, heaps) = build(4);
+    net.obs_enable();
+    for round in 0..4u64 {
+        // Two hops each way round the 4-ring: 0 -> 2 and 1 -> 3.
+        for (src, dst) in [(0, 2), (1, 3)] {
+            let off = round * 8192;
+            net.node(src).put_bytes(dst, off, &[round as u8; 6000], TransferMode::Dma).unwrap();
+            net.node(src).quiet().expect("quiet");
+            heaps[dst].region.write(off + 4096, &[1u8; 2048]).unwrap();
+            net.node(src).get_bytes(dst, off + 4096, 2048, TransferMode::Dma).unwrap();
+            net.node(src).amo(dst, AmoOp::FetchAdd, 1 << 19, 8, 1, 0).unwrap();
+        }
+    }
+    // Counters are bumped next to their emits on the service threads;
+    // give the last arrivals a moment to settle.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let events = net.event_log().merged();
+        let mismatches: Vec<String> = (0..4)
+            .flat_map(|pe| {
+                let m = net.node(pe).metrics();
+                let events = &events;
+                pairs.iter().filter_map(move |(counter, kinds)| {
+                    let counted = m.link_sum(counter);
+                    let seen = events
+                        .iter()
+                        .filter(|e| kinds.contains(&e.kind) && e.pe as usize == pe)
+                        .count();
+                    (counted != seen as u64).then(|| {
+                        format!("pe{pe} {}: counted {counted}, events {seen}", kinds[0].name())
+                    })
+                })
+            })
+            .collect();
+        if mismatches.is_empty() {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "{mismatches:#?}");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let forwards: u64 = (0..4).map(|pe| net.node(pe).metrics().link_sum(|l| &l.forwards)).sum();
+    assert!(forwards > 0, "2-hop traffic must forward");
+    assert_eq!(net.event_log().dropped(), 0);
+    assert_no_errors(&net);
 }
 
 /// Regression for the fault-timeline walker: two closely-spaced faults —

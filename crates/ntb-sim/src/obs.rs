@@ -13,9 +13,10 @@
 //! fault injector uses — so the layer can stay compiled in without
 //! shifting the latency figures.
 //!
-//! The [`MetricsRegistry`] half is always on: per-op-kind latency
-//! histograms (log2 buckets) and per-link counters, exportable as JSON
-//! and rendered by `shmem-bench` reports.
+//! The [`MetricsRegistry`] half holds per-link protocol counters, which
+//! are always on, and per-op-kind latency histograms (log2 buckets),
+//! which `shmem-core` fills only while the log is enabled. Both export
+//! as JSON and render in `shmem-bench` reports.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -504,6 +505,33 @@ pub fn events_to_json(events: &[TraceEvent]) -> String {
     out
 }
 
+/// Render a trace window in the Chrome tracing JSON format
+/// (`chrome://tracing`, Perfetto): one instant event per entry, `pid` the
+/// PE and `tid` the link (-1 for events not scoped to a link), so every
+/// link gets its own track under its PE.
+pub fn events_to_chrome_json(events: &[TraceEvent]) -> String {
+    let mut out = String::from("[");
+    for (i, ev) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            r#"{{"name":"{}","ph":"i","s":"t","ts":{},"pid":{},"tid":{},"args":{{"seq":{},"op_id":{},"payload":[{},{}]}}}}"#,
+            ev.kind.name(),
+            ev.t_us,
+            ev.pe,
+            if ev.link == NO_LINK { -1i64 } else { ev.link as i64 },
+            ev.seq,
+            ev.op_id,
+            ev.payload[0],
+            ev.payload[1],
+        );
+    }
+    out.push(']');
+    out
+}
+
 /// A cheap, cloneable emission handle: an optional log plus the fixed
 /// (pe, link) coordinates of the component holding it. `Obs::off()` is
 /// the default everywhere, so standalone ports and tests pay only an
@@ -575,7 +603,7 @@ impl std::fmt::Debug for Obs {
 }
 
 // ---------------------------------------------------------------------
-// Metrics registry: always-on counters and latency histograms.
+// Metrics registry: always-on link counters and latency histograms.
 // ---------------------------------------------------------------------
 
 /// Histogram bucket count: bucket `i` covers `[2^i, 2^(i+1))` µs.
@@ -724,51 +752,77 @@ impl OpClass {
     }
 }
 
-/// Per-link traffic counters.
-#[derive(Debug, Default)]
-pub struct LinkMetrics {
-    /// Frames published toward the peer.
-    pub frames_tx: AtomicU64,
-    /// Frames dispatched from the peer.
-    pub frames_rx: AtomicU64,
-    /// Retransmissions driven over this link.
-    pub retransmits: AtomicU64,
-    /// Times traffic was steered away from this (Down) link.
-    pub reroutes: AtomicU64,
-    /// Frames rejected by the CRC check on this link.
-    pub crc_rejects: AtomicU64,
-    /// Frames the router discarded: out-of-range src/dest, or destined
-    /// to a PE known to be dead.
-    pub router_drops: AtomicU64,
-    /// Work dropped at a hop because its deadline had already expired.
-    pub deadline_sheds: AtomicU64,
-    /// Work rejected at admission: bounded queue full or flow-control
-    /// credits exhausted.
-    pub overload_sheds: AtomicU64,
-    /// Retransmissions shed because the per-link retry budget ran dry.
-    pub retry_sheds: AtomicU64,
+/// Declares [`LinkMetrics`]: one `AtomicU64` per counter, exported to
+/// JSON under the field's name in declaration order.
+macro_rules! link_metrics {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// Per-link protocol counters: the network layer's one counter
+        /// family. Each event site bumps the counter of the link the event
+        /// happened on; per-PE totals are sums over links
+        /// ([`MetricsRegistry::link_sum`]).
+        #[derive(Debug, Default)]
+        pub struct LinkMetrics {
+            $($(#[doc = $doc])+ pub $name: AtomicU64,)+
+        }
+
+        impl LinkMetrics {
+            fn to_json(&self) -> String {
+                let fields = [$(format!("\"{}\":{}", stringify!($name), get(&self.$name))),+];
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    };
 }
 
-impl LinkMetrics {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"frames_tx\":{},\"frames_rx\":{},\"retransmits\":{},\"reroutes\":{},\"crc_rejects\":{},\"router_drops\":{},\"deadline_sheds\":{},\"overload_sheds\":{},\"retry_sheds\":{}}}",
-            get(&self.frames_tx),
-            get(&self.frames_rx),
-            get(&self.retransmits),
-            get(&self.reroutes),
-            get(&self.crc_rejects),
-            get(&self.router_drops),
-            get(&self.deadline_sheds),
-            get(&self.overload_sheds),
-            get(&self.retry_sheds),
-        )
-    }
+link_metrics! {
+    /// Frames published toward the peer.
+    frames_tx,
+    /// Frames dispatched from the peer.
+    frames_rx,
+    /// Frames arriving on this link that this (intermediate) host queued
+    /// for the next hop.
+    forwards,
+    /// Put chunks arriving on this link and delivered into the local
+    /// symmetric space.
+    puts_delivered,
+    /// Get requests arriving on this link and served from the local
+    /// symmetric space.
+    gets_served,
+    /// Put acknowledgements arriving on this link that retired a put.
+    acks_received,
+    /// Atomic operations arriving on this link and executed here.
+    amos_served,
+    /// Retransmissions driven over this link: puts resent by the sweeper,
+    /// get/AMO requests by the bounded requester wait, frames re-queued
+    /// by the forwarder, and barrier doorbell retries.
+    retransmits,
+    /// Times traffic was steered away from this (Down) link.
+    reroutes,
+    /// Frames rejected by the CRC check on this link.
+    crc_rejects,
+    /// Duplicate deliveries arriving on this link and suppressed
+    /// (retransmitted puts/AMOs already applied, acks for retired puts,
+    /// get-response chunks already deposited).
+    duplicates_suppressed,
+    /// Probe writes issued to this link while it was Down.
+    probes_sent,
+    /// Transitions of this link into the Down state.
+    link_down_events,
+    /// Frames the router discarded: out-of-range src/dest, or destined
+    /// to a PE known to be dead.
+    router_drops,
+    /// Work dropped at a hop because its deadline had already expired.
+    deadline_sheds,
+    /// Work rejected at admission: bounded queue full or flow-control
+    /// credits exhausted.
+    overload_sheds,
+    /// Retransmissions shed because the per-link retry budget ran dry.
+    retry_sheds,
 }
 
 /// One PE's metrics: a latency histogram per [`OpClass`] and counters
-/// per link endpoint. Always on; recording is a handful of relaxed
-/// atomic adds.
+/// per link endpoint. The link counters are always on (a relaxed atomic
+/// add per event); the histograms fill only while tracing is enabled.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     ops: [LatencyHistogram; 5],
@@ -809,6 +863,11 @@ impl MetricsRegistry {
         if let Some(l) = self.links.get(idx) {
             bump(f(l), 1);
         }
+    }
+
+    /// One counter summed over every link: the per-PE total.
+    pub fn link_sum(&self, f: impl Fn(&LinkMetrics) -> &AtomicU64) -> u64 {
+        self.links.iter().map(|l| get(f(l))).sum()
     }
 
     /// JSON object: `{"ops":{...},"links":[...]}`.
@@ -913,6 +972,22 @@ mod tests {
     }
 
     #[test]
+    fn chrome_json_tracks_pe_and_link() {
+        let log = EventLog::new(2, 16);
+        log.enable();
+        log.emit(0, 1, EventKind::FrameTx, 5, [2, 64]);
+        log.emit(1, NO_LINK, EventKind::PutDeliver, 5, [0, 0]);
+        let json = events_to_chrome_json(&log.merged());
+        assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
+        assert!(json.contains(r#""name":"frame_tx","ph":"i""#), "{json}");
+        assert!(json.contains(r#""pid":0,"tid":1"#), "{json}");
+        assert!(json.contains(r#""pid":1,"tid":-1"#), "{json}");
+        assert_eq!(json.matches("{\"name\"").count(), 2);
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(events_to_chrome_json(&[]), "[]");
+    }
+
+    #[test]
     fn histogram_buckets_and_quantiles() {
         let h = LatencyHistogram::default();
         assert_eq!(h.quantile_us(0.5), 0);
@@ -954,5 +1029,9 @@ mod tests {
         assert!(json.contains("\"retry_sheds\":0"), "{json}");
         assert_eq!(m.link(0).unwrap().frames_tx.load(Ordering::Relaxed), 1);
         assert_eq!(m.link_count(), 2);
+        m.bump_link(1, |l| &l.frames_tx);
+        assert_eq!(m.link_sum(|l| &l.frames_tx), 2);
+        assert_eq!(m.link_sum(|l| &l.forwards), 0);
+        assert!(json.contains("\"duplicates_suppressed\":0"), "{json}");
     }
 }

@@ -23,7 +23,8 @@
 //!   smaller = proportionally faster runs with the same shapes).
 //! * `--reps N`   — measurement repetitions per point.
 //! * `--quick`    — 4-point size axis instead of the paper's 10.
-//! * `--csv DIR`  — also write each panel as CSV into DIR.
+//! * `--csv DIR`  — also write each panel as CSV into DIR (`trace`: the
+//!   event trace as Chrome tracing JSON).
 
 use std::fs;
 use std::path::PathBuf;
@@ -98,8 +99,10 @@ fn write_csv(dir: &Option<PathBuf>, name: &str, labels: &[String], series: &[Ser
 
 /// Run a small fully-traced workload (puts, gets, AMOs, barriers on a
 /// 3-PE ring), print the structured event trace and the metrics report,
-/// and put the trace through the protocol-invariant checker.
-fn run_trace_demo() {
+/// and put the trace through the protocol-invariant checker. With a
+/// `--csv` directory the trace is also written there as Chrome tracing
+/// JSON (`events.trace.json`, for `chrome://tracing` or Perfetto).
+fn run_trace_demo(dir: &Option<PathBuf>) {
     use shmem_core::{ShmemConfig, ShmemWorld};
     const PES: usize = 3;
     let results = ShmemWorld::run(ShmemConfig::fast_sim().with_hosts(PES), |ctx| {
@@ -123,6 +126,12 @@ fn run_trace_demo() {
     println!("{}", ntb_sim::render_events(&events));
     println!("({} events, {} dropped)\n", events.len(), log.dropped());
     println!("{}", shmem_bench::render_metrics_report("per-PE metrics", &registries));
+    if let Some(dir) = dir {
+        fs::create_dir_all(dir).expect("create trace dir");
+        let path = dir.join("events.trace.json");
+        fs::write(&path, ntb_sim::events_to_chrome_json(&events)).expect("write trace");
+        println!("  wrote {}", path.display());
+    }
     let report = ntb_net::check(&events, PES);
     if report.is_clean() {
         println!(
@@ -200,7 +209,7 @@ fn run_overload_bench(scale: f64, quick: bool) {
 fn main() {
     let opts = parse_args();
     if opts.what == "trace" {
-        run_trace_demo();
+        run_trace_demo(&opts.csv);
         return;
     }
     if opts.what == "transport" {

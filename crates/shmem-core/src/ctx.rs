@@ -30,9 +30,8 @@ use crate::symmetric::{SymAddr, TypedSym};
 use crate::types::ShmemScalar;
 use crate::workspace::Workspace;
 
-/// Per-operation options for put/get, replacing the old
-/// `put_slice` / `put_slice_with_mode` / `put_slice_nbi` triplet (and its
-/// get-side mirror) with one builder:
+/// Per-operation options for put/get, one builder instead of a family
+/// of per-mode and `_nbi` variants:
 ///
 /// ```
 /// use shmem_core::prelude::*;
@@ -427,19 +426,6 @@ impl ShmemCtx {
         Ok(())
     }
 
-    /// `shmem_TYPE_put` with an explicit transfer mode.
-    #[deprecated(since = "0.1.0", note = "use put_slice_opts with OpOptions::new().mode(..)")]
-    pub fn put_slice_with_mode<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        data: &[T],
-        pe: usize,
-        mode: TransferMode,
-    ) -> Result<()> {
-        self.put_slice_opts(sym, index, data, pe, OpOptions::new().mode(mode))
-    }
-
     /// `shmem_TYPE_put` with the default transfer mode.
     ///
     /// ```
@@ -475,20 +461,6 @@ impl ShmemCtx {
         pe: usize,
     ) -> Result<()> {
         self.put_slice(sym, index, &[value], pe)
-    }
-
-    /// Non-blocking put (`shmem_TYPE_put_nbi`): equivalent to
-    /// `put_slice_opts` with [`OpOptions::nbi`] — the doorbell is
-    /// deferred and `quiet` is the completion point.
-    #[deprecated(since = "0.1.0", note = "use put_slice_opts with OpOptions::nbi()")]
-    pub fn put_slice_nbi<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        data: &[T],
-        pe: usize,
-    ) -> Result<()> {
-        self.put_slice_opts(sym, index, data, pe, OpOptions::nbi())
     }
 
     /// `shmem_TYPE_get` with explicit [`OpOptions`]: copy `count`
@@ -532,19 +504,6 @@ impl ShmemCtx {
         Ok(T::bytes_to_vec(&bytes))
     }
 
-    /// `shmem_TYPE_get` with an explicit transfer mode.
-    #[deprecated(since = "0.1.0", note = "use get_slice_opts with OpOptions::new().mode(..)")]
-    pub fn get_slice_with_mode<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        count: usize,
-        pe: usize,
-        mode: TransferMode,
-    ) -> Result<Vec<T>> {
-        self.get_slice_opts(sym, index, count, pe, OpOptions::new().mode(mode))
-    }
-
     /// `shmem_TYPE_get` with the default transfer mode.
     ///
     /// ```
@@ -573,19 +532,6 @@ impl ShmemCtx {
     /// Get a single element (`shmem_TYPE_g`).
     pub fn get<T: ShmemScalar>(&self, sym: &TypedSym<T>, index: usize, pe: usize) -> Result<T> {
         Ok(self.get_slice(sym, index, 1, pe)?[0])
-    }
-
-    /// Non-blocking get (`shmem_TYPE_get_nbi`); completion at `quiet`.
-    /// This model completes it eagerly (see [`OpOptions::nbi`]).
-    #[deprecated(since = "0.1.0", note = "use get_slice_opts with OpOptions::nbi()")]
-    pub fn get_slice_nbi<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        count: usize,
-        pe: usize,
-    ) -> Result<Vec<T>> {
-        self.get_slice_opts(sym, index, count, pe, OpOptions::nbi())
     }
 
     // ------------------------------------------------------------------
@@ -699,8 +645,9 @@ impl ShmemCtx {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// This PE's metrics registry (op-latency histograms and per-link
-    /// counters), populated while structured tracing is enabled.
+    /// This PE's metrics registry: the per-link protocol counters, always
+    /// on, and the op-latency histograms, filled only while structured
+    /// tracing is enabled.
     pub fn metrics(&self) -> &Arc<ntb_sim::MetricsRegistry> {
         self.node.metrics()
     }
@@ -716,12 +663,10 @@ impl ShmemCtx {
         )
     }
 
-    /// Snapshot of this PE's communication counters (protocol activity
-    /// plus raw bytes through both NTB adapters).
+    /// Snapshot of this PE's communication counters: the per-link
+    /// protocol counters summed over links, plus raw bytes through the
+    /// NTB adapters.
     pub fn stats_snapshot(&self) -> PeStats {
-        // lint: relaxed-ok(monotonic stats counters, snapshot for reporting only)
-        let ld = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
-        let s = self.node.stats();
         let mut bytes_tx = 0;
         let mut bytes_rx = 0;
         for i in 0..self.node.num_links() {
@@ -729,36 +674,24 @@ impl ShmemCtx {
             bytes_tx += p.bytes_tx;
             bytes_rx += p.bytes_rx;
         }
-        let metrics = self.node.metrics();
-        let mut router_drops = 0;
-        let mut deadline_sheds = 0;
-        let mut overload_sheds = 0;
-        let mut retry_sheds = 0;
-        for i in 0..metrics.link_count() {
-            if let Some(l) = metrics.link(i) {
-                router_drops += ld(&l.router_drops);
-                deadline_sheds += ld(&l.deadline_sheds);
-                overload_sheds += ld(&l.overload_sheds);
-                retry_sheds += ld(&l.retry_sheds);
-            }
-        }
+        let m = self.node.metrics();
         PeStats {
-            frames_rx: ld(&s.frames_rx),
-            forwards: ld(&s.forwards),
-            puts_delivered: ld(&s.puts_delivered),
-            gets_served: ld(&s.gets_served),
-            acks_received: ld(&s.acks_received),
-            amos_served: ld(&s.amos_served),
-            retransmits: ld(&s.retransmits),
-            checksum_rejects: ld(&s.checksum_rejects),
-            reroutes: ld(&s.reroutes),
-            duplicates_suppressed: ld(&s.duplicates_suppressed),
-            probes_sent: ld(&s.probes_sent),
-            link_down_events: ld(&s.link_down_events),
-            router_drops,
-            deadline_sheds,
-            overload_sheds,
-            retry_sheds,
+            frames_rx: m.link_sum(|l| &l.frames_rx),
+            forwards: m.link_sum(|l| &l.forwards),
+            puts_delivered: m.link_sum(|l| &l.puts_delivered),
+            gets_served: m.link_sum(|l| &l.gets_served),
+            acks_received: m.link_sum(|l| &l.acks_received),
+            amos_served: m.link_sum(|l| &l.amos_served),
+            retransmits: m.link_sum(|l| &l.retransmits),
+            checksum_rejects: m.link_sum(|l| &l.crc_rejects),
+            reroutes: m.link_sum(|l| &l.reroutes),
+            duplicates_suppressed: m.link_sum(|l| &l.duplicates_suppressed),
+            probes_sent: m.link_sum(|l| &l.probes_sent),
+            link_down_events: m.link_sum(|l| &l.link_down_events),
+            router_drops: m.link_sum(|l| &l.router_drops),
+            deadline_sheds: m.link_sum(|l| &l.deadline_sheds),
+            overload_sheds: m.link_sum(|l| &l.overload_sheds),
+            retry_sheds: m.link_sum(|l| &l.retry_sheds),
             bytes_tx,
             bytes_rx,
             heap_capacity: self.heap.capacity(),

@@ -1,6 +1,7 @@
 //! Whole-stack SPMD tests: every OpenSHMEM feature exercised through
 //! `ShmemWorld::run` on 1–6 PEs (fast functional simulation).
 
+use ntb_sim::EventKind;
 use shmem_core::{
     CmpOp, OpOptions, ReduceOp, ShmemConfig, ShmemCtx, ShmemError, ShmemWorld, TransferMode,
     TypedSym,
@@ -521,4 +522,80 @@ fn short_wait_timeout_is_honored_without_tick_overshoot() {
         );
     })
     .unwrap();
+}
+
+/// `"key":<u64>` inside a flat JSON object.
+fn json_u64(obj: &str, key: &str) -> u64 {
+    let at = obj.find(&format!("\"{key}\":")).unwrap_or_else(|| panic!("{key} missing: {obj}"));
+    let digits: String =
+        obj[at + key.len() + 3..].chars().take_while(|c| c.is_ascii_digit()).collect();
+    digits.parse().unwrap()
+}
+
+/// `PeStats` is the per-link counters summed over links: every protocol
+/// counter in `stats_snapshot` equals the sum of its link counter in the
+/// `links` array of `metrics_json`. `frames_tx` counts frames only: a
+/// small neighbour get read through the heap aperture sends none.
+#[test]
+fn stats_snapshot_sums_the_link_counters() {
+    const SUMMED: [(&str, &str); 16] = [
+        ("frames_rx", "frames_rx"),
+        ("forwards", "forwards"),
+        ("puts_delivered", "puts_delivered"),
+        ("gets_served", "gets_served"),
+        ("acks_received", "acks_received"),
+        ("amos_served", "amos_served"),
+        ("retransmits", "retransmits"),
+        ("checksum_rejects", "crc_rejects"),
+        ("reroutes", "reroutes"),
+        ("duplicates_suppressed", "duplicates_suppressed"),
+        ("probes_sent", "probes_sent"),
+        ("link_down_events", "link_down_events"),
+        ("router_drops", "router_drops"),
+        ("deadline_sheds", "deadline_sheds"),
+        ("overload_sheds", "overload_sheds"),
+        ("retry_sheds", "retry_sheds"),
+    ];
+    let results = ShmemWorld::run(cfg(4), |ctx| {
+        ctx.node().obs().log().unwrap().enable();
+        let sym = ctx.calloc_array::<u64>(1024).unwrap();
+        let far = (ctx.my_pe() + 2) % ctx.num_pes();
+        let data: Vec<u64> = (0..1024).collect();
+        ctx.put_slice(&sym, 0, &data, far).unwrap();
+        ctx.quiet().unwrap();
+        ctx.barrier_all().unwrap();
+        assert_eq!(ctx.get_slice::<u64>(&sym, 0, 1024, far).unwrap(), data);
+        ctx.atomic_fetch_add(&sym, 0, 1u64, far).unwrap();
+        let right = (ctx.my_pe() + 1) % ctx.num_pes();
+        assert_eq!(ctx.get_slice::<u64>(&sym, 8, 8, right).unwrap(), data[8..16]);
+        ctx.barrier_all().unwrap();
+        let log = ctx.node().obs().log().unwrap();
+        let sent = |kind| {
+            log.merged().iter().filter(|e| e.kind == kind && e.pe as usize == ctx.my_pe()).count()
+        };
+        // The two halves are read at different instants; a late arrival
+        // may land between them, so settle on a consistent pair.
+        for _ in 0..100 {
+            let snap = ctx.stats_snapshot();
+            let json = ctx.metrics_json();
+            let stats = snap.to_json();
+            let links = &json[json.find("\"links\":[").unwrap()..];
+            let links: Vec<&str> = links.split("},{").collect();
+            let sums = SUMMED.map(|(_, key)| links.iter().map(|l| json_u64(l, key)).sum::<u64>());
+            let totals = SUMMED.map(|(name, _)| json_u64(&stats, name));
+            let frames = (sent(EventKind::FrameTx) + sent(EventKind::SlotPublish)) as u64;
+            let frames_tx = ctx.metrics().link_sum(|l| &l.frames_tx);
+            if sums == totals && snap == ctx.stats_snapshot() && frames == frames_tx {
+                return (snap, links.len());
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("counters never matched the link sums and events: {}", ctx.metrics_json());
+    })
+    .unwrap();
+    for (pe, (snap, links)) in results.iter().enumerate() {
+        assert_eq!(*links, 4, "pe{pe}: one entry per physical link of the 4-ring");
+        assert!(snap.frames_rx > 0 && snap.amos_served > 0, "pe{pe}: {snap:?}");
+        assert!(snap.forwards > 0, "pe{pe}: 2-hop traffic forwards at every PE");
+    }
 }

@@ -246,7 +246,19 @@ fn run_chaos_mode(family: Family, seed: u64, coalesced: bool) -> ChaosOutcome {
     let mut counter = [0u8; 8];
     heaps[0].region.read(COUNTER_OFF, &mut counter).unwrap();
     let fault_totals = net.fault_stats_total();
-    let recovered = (0..HOSTS).map(|i| net.node(i).stats().recovery_total()).sum();
+    let recovered = net
+        .nodes()
+        .iter()
+        .map(|n| {
+            let m = n.metrics();
+            m.link_sum(|l| &l.retransmits)
+                + m.link_sum(|l| &l.crc_rejects)
+                + m.link_sum(|l| &l.reroutes)
+                + m.link_sum(|l| &l.duplicates_suppressed)
+                + m.link_sum(|l| &l.probes_sent)
+                + m.link_sum(|l| &l.link_down_events)
+        })
+        .sum();
     let dropped = net.event_log().dropped();
     ChaosOutcome {
         ranges,

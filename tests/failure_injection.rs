@@ -301,11 +301,11 @@ fn corrupted_payload_is_rejected_and_redelivered() {
     let corrupted: u64 = net.fault_stats().iter().map(|s| s.payloads_corrupted).sum();
     assert_eq!(corrupted, 1, "exactly the scripted payload write was corrupted");
     assert!(
-        net.node(1).stats().checksum_rejects.load(Ordering::Relaxed) >= 1,
+        net.node(1).metrics().link_sum(|l| &l.crc_rejects) >= 1,
         "receiver must have rejected the corrupted frame"
     );
     assert!(
-        net.node(0).stats().retransmits.load(Ordering::Relaxed) >= 1,
+        net.node(0).metrics().link_sum(|l| &l.retransmits) >= 1,
         "origin must have retransmitted after the missing ack"
     );
     for node in net.nodes() {
@@ -325,9 +325,9 @@ fn link_down_window_reroutes_and_recovers() {
     net.node(0).put_bytes(1, 512, &payload, TransferMode::Dma).unwrap();
     net.node(0).quiet().expect("put must complete via the long way around");
     assert_eq!(heaps[1].region.read_vec(512, 4096).unwrap(), payload, "heap must be byte-exact");
-    let stats = net.node(0).stats();
-    assert!(stats.link_down_events.load(Ordering::Relaxed) >= 1, "endpoint must go Down");
-    assert!(stats.reroutes.load(Ordering::Relaxed) >= 1, "traffic must reroute leftward");
+    let m = net.node(0).metrics();
+    assert!(m.link_sum(|l| &l.link_down_events) >= 1, "endpoint must go Down");
+    assert!(m.link_sum(|l| &l.reroutes) >= 1, "traffic must reroute leftward");
     let windows: u64 = net.fault_stats().iter().map(|s| s.link_down_windows).sum();
     assert_eq!(windows, 1, "exactly one outage window fired");
     // Recovery: the sweeper probes the Down endpoint; once the window
@@ -340,7 +340,7 @@ fn link_down_window_reroutes_and_recovers() {
         assert!(Instant::now() < deadline, "link did not recover after the outage window");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(net.node(0).stats().probes_sent.load(Ordering::Relaxed) >= 1, "sweeper must probe");
+    assert!(net.node(0).metrics().link_sum(|l| &l.probes_sent) >= 1, "sweeper must probe");
     // The restored path carries traffic again.
     let second: Vec<u8> = (0..2048u32).map(|i| (i * 3 % 251) as u8).collect();
     net.node(0).put_bytes(1, 65536, &second, TransferMode::Memcpy).unwrap();
