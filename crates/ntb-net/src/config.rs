@@ -153,6 +153,13 @@ pub struct NetConfig {
     /// (the pipeline window). 1 degenerates to the paper prototype's
     /// stop-and-wait behaviour. Per-op override via `OpOptions` upstack.
     pub get_window: usize,
+    /// Completion-discovery poll of a requester blocked in a get or AMO.
+    /// `None`: the requester wakes when the response lands. `Some(q)`:
+    /// it sees completion only on the next `q`-period tick of a
+    /// sleep-and-check loop started with the wait (scaled by the time
+    /// model), as the paper's prototype does — `NetConfig::paper` sets
+    /// 1 ms, the main term of its Fig. 9(b) get latencies.
+    pub get_poll: Option<Duration>,
     /// DMA channels per NTB adapter.
     pub dma_channels: usize,
     /// Simulated physical memory per host.
@@ -185,9 +192,10 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// Paper-scale configuration with `hosts` hosts.
+    /// Paper-scale configuration with `hosts` hosts; requesters discover
+    /// get and AMO completion through the prototype's 1 ms sleep-poll.
     pub fn paper(hosts: usize) -> Self {
-        NetConfig { hosts, ..Self::default() }
+        NetConfig { hosts, get_poll: Some(Duration::from_millis(1)), ..Self::default() }
     }
 
     /// Fast functional configuration (no injected delays) for tests.
@@ -348,6 +356,7 @@ impl Default for NetConfig {
             get_resp_chunk: 64 << 10,
             get_req_chunk: 256 << 10,
             get_window: 4,
+            get_poll: None,
             dma_channels: 1,
             host_mem_capacity: 512 << 20,
             model: TimeModel::paper(),
@@ -373,6 +382,13 @@ mod tests {
         NetConfig::default().validate();
         NetConfig::fast(2).validate();
         NetConfig::paper(3).validate();
+    }
+
+    #[test]
+    fn only_the_paper_preset_polls_for_completion() {
+        assert_eq!(NetConfig::paper(3).get_poll, Some(Duration::from_millis(1)));
+        assert_eq!(NetConfig::default().get_poll, None);
+        assert_eq!(NetConfig::fast(3).get_poll, None);
     }
 
     #[test]

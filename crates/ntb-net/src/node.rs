@@ -327,7 +327,7 @@ impl NtbNode {
             layout,
             endpoints,
             delivery: RwLock::new(None),
-            pending: PendingOps::new(),
+            pending: PendingOps::with_poll(config.get_poll),
             unacked: UnackedPuts::with_obs(obs.clone()),
             seen_puts: Mutex::new(SeenPuts::default()),
             amo_cache: Mutex::new(AmoCache::default()),
@@ -1425,6 +1425,7 @@ impl NtbNode {
             }
         };
         self.obs.emit(EventKind::AmoDone, u64::from(req_id), [op as u64, 0]);
+        self.model.delay(self.model.requester_wake_delay);
         let bytes: [u8; 8] = buf
             .get(0..8)
             .and_then(|s| s.try_into().ok())

@@ -2,11 +2,13 @@
 //!
 //! A Get (or remote atomic) leaves a pending entry at the requesting host;
 //! the service thread fills it chunk by chunk as responses arrive and the
-//! requester blocks until complete. The paper's prototype discovers
-//! completion through a sleep-and-check loop, so under an enabled time
-//! model the wait is quantized to
-//! [`TimeModel::get_poll_interval`](ntb_sim::TimeModel) — the dominant
-//! term of its Fig. 9(b) Get latencies.
+//! requester blocks on the entry's condvar until complete, so it sees
+//! the response when it lands. The paper's prototype discovers completion
+//! through a sleep-and-check loop instead; that is a protocol setting,
+//! [`NetConfig::get_poll`](crate::NetConfig::get_poll) (set by
+//! `NetConfig::paper`), under which the woken requester sleeps on to the
+//! next tick of its poll — the dominant term of the paper's Fig. 9(b) Get
+//! latencies. Both run through the one wait.
 //!
 //! On a lossy link the response (or the request itself) can vanish, so the
 //! wait is *bounded*: [`PendingOps::wait_with_retry`] re-issues the request
@@ -24,7 +26,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use ntb_sim::{spin_for, EventKind, NtbError, Obs, Result, TimeModel, TransferMode};
+use ntb_sim::{EventKind, NtbError, Obs, Result, TimeModel, TransferMode};
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::RetryPolicy;
@@ -80,6 +82,8 @@ struct PendingShard {
 pub struct PendingOps {
     shards: [PendingShard; SHARD_COUNT],
     next_id: AtomicU32,
+    /// Completion-poll quantum of the requester (`None`: notified wait).
+    poll: Option<Duration>,
 }
 
 impl Default for PendingOps {
@@ -89,11 +93,21 @@ impl Default for PendingOps {
 }
 
 impl PendingOps {
-    /// Empty table.
+    /// Empty table whose waiters see completion as soon as it lands.
     pub fn new() -> Self {
+        Self::with_poll(None)
+    }
+
+    /// Empty table whose waiters discover completion on the ticks of a
+    /// `poll`-period sleep-and-check loop ([`NetConfig::get_poll`]),
+    /// scaled by the time model; inert under a disabled model.
+    ///
+    /// [`NetConfig::get_poll`]: crate::NetConfig::get_poll
+    pub fn with_poll(poll: Option<Duration>) -> Self {
         PendingOps {
             shards: std::array::from_fn(|_| PendingShard::default()),
             next_id: AtomicU32::new(0),
+            poll,
         }
     }
 
@@ -187,9 +201,7 @@ impl PendingOps {
     }
 
     /// Requester side: block until the operation completes and take its
-    /// buffer. With an enabled time model the wait polls at the model's
-    /// get-poll interval (no wake-up notification — reproducing the
-    /// prototype's sleep loop); otherwise it waits on the condvar.
+    /// buffer (on the next poll tick when the table has a poll quantum).
     ///
     /// Unbounded: on a lossy link use [`Self::wait_with_retry`].
     pub fn wait(&self, req_id: u32, model: &TimeModel) -> Result<Vec<u8>> {
@@ -267,85 +279,57 @@ impl PendingOps {
         }
     }
 
-    /// Wait until done or `deadline`; `Ok(None)` means timed out with the
-    /// entry still pending.
+    /// Wait until done, failed or `deadline`; `Ok(None)` means timed out
+    /// with the entry still pending.
+    ///
+    /// One condvar wait under every time model: `fill_with`, `fail_dest`
+    /// and `reset` notify it. With a poll quantum `q` (see
+    /// [`Self::with_poll`]) and an enabled model, the woken waiter then
+    /// sleeps to the next tick of a poll started with the wait,
+    /// `start + q·⌈elapsed/q⌉` — exactly when the paper's sleep-and-check
+    /// loop would have seen the outcome.
     fn wait_until(
         &self,
         req_id: u32,
         model: &TimeModel,
         deadline: Option<Instant>,
     ) -> Result<Option<Vec<u8>>> {
+        let start = Instant::now();
         let shard = self.shard(req_id);
-        if model.enabled() {
-            let interval =
-                model.scaled_duration(model.get_poll_interval).max(Duration::from_micros(1));
-            loop {
-                {
-                    crate::lockdep_track!(&crate::lockdep::NET_PENDING_SHARD);
-                    let mut map = shard.inner.lock();
-                    match map.get(&req_id) {
-                        None => {
-                            return Err(NtbError::BadDescriptor { reason: "unknown request id" })
-                        }
-                        Some(e) if e.done => {
-                            let entry = map.remove(&req_id).ok_or(NtbError::BadDescriptor {
-                                reason: "completion entry vanished under its lock",
-                            })?;
-                            return Ok(Some(entry.buf));
-                        }
-                        Some(e) if e.failed.is_some() => {
-                            let entry = map.remove(&req_id).ok_or(NtbError::BadDescriptor {
-                                reason: "completion entry vanished under its lock",
-                            })?;
-                            return Err(entry.failed.unwrap_or(NtbError::LinkDown));
-                        }
-                        Some(_) => {}
-                    }
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Ok(None);
-                }
-                // DEADLINE-CLIPPED: `interval` is the model's get-poll
-                // quantum; the deadline is checked just above every poll.
-                spin_for(interval);
+        crate::lockdep_track!(&crate::lockdep::NET_PENDING_SHARD);
+        let mut map = shard.inner.lock();
+        let mut timed_out = false;
+        loop {
+            match map.get(&req_id) {
+                None => return Err(NtbError::BadDescriptor { reason: "unknown request id" }),
+                Some(e) if e.done || e.failed.is_some() => break,
+                // Checked once more after the timeout: a fill or a
+                // failure verdict may have raced it.
+                Some(_) if timed_out => return Ok(None),
+                Some(_) => {}
             }
-        } else {
-            crate::lockdep_track!(&crate::lockdep::NET_PENDING_SHARD);
-            let mut map = shard.inner.lock();
-            loop {
-                match map.get(&req_id) {
-                    None => return Err(NtbError::BadDescriptor { reason: "unknown request id" }),
-                    Some(e) if e.done => {
-                        let entry = map.remove(&req_id).ok_or(NtbError::BadDescriptor {
-                            reason: "completion entry vanished under its lock",
-                        })?;
-                        return Ok(Some(entry.buf));
-                    }
-                    Some(e) if e.failed.is_some() => {
-                        let entry = map.remove(&req_id).ok_or(NtbError::BadDescriptor {
-                            reason: "completion entry vanished under its lock",
-                        })?;
-                        return Err(entry.failed.unwrap_or(NtbError::LinkDown));
-                    }
-                    Some(_) => match deadline {
-                        Some(wake_deadline) => {
-                            if shard.cond.wait_until(&mut map, wake_deadline).timed_out() {
-                                // Re-check once: completion may have raced
-                                // the timeout.
-                                if map.get(&req_id).is_some_and(|e| e.done) {
-                                    let entry =
-                                        map.remove(&req_id).ok_or(NtbError::BadDescriptor {
-                                            reason: "completion entry vanished under its lock",
-                                        })?;
-                                    return Ok(Some(entry.buf));
-                                }
-                                return Ok(None);
-                            }
-                        }
-                        None => shard.cond.wait(&mut map),
-                    },
+            timed_out = match deadline {
+                Some(wake_deadline) => shard.cond.wait_until(&mut map, wake_deadline).timed_out(),
+                None => {
+                    shard.cond.wait(&mut map);
+                    false
                 }
-            }
+            };
+        }
+        let entry = map.remove(&req_id).ok_or(NtbError::BadDescriptor {
+            reason: "completion entry vanished under its lock",
+        })?;
+        drop(map);
+        if let Some(q) = self.poll.filter(|_| model.enabled()) {
+            let q = model.scaled_duration(q).max(Duration::from_micros(1));
+            let ticks = start.elapsed().as_nanos().div_ceil(q.as_nanos());
+            let tick = start + q * u32::try_from(ticks).unwrap_or(u32::MAX);
+            model.wait_until(deadline.map_or(tick, |d| tick.min(d)));
+        }
+        match entry.failed {
+            // A fill that completed the entry after its failure verdict wins.
+            Some(e) if !entry.done => Err(e),
+            _ => Ok(Some(entry.buf)),
         }
     }
 
@@ -760,24 +744,73 @@ mod tests {
         h.join().unwrap();
     }
 
+    /// Complete entry `id` of `p` with `byte` from another thread after
+    /// `after`.
+    fn fill_later(
+        p: &Arc<PendingOps>,
+        id: u32,
+        after: Duration,
+        byte: u8,
+    ) -> std::thread::JoinHandle<()> {
+        let p = Arc::clone(p);
+        std::thread::spawn(move || {
+            std::thread::sleep(after);
+            p.fill(id, 0, &[byte]).unwrap();
+        })
+    }
+
     #[test]
     fn polled_wait_quantizes_latency() {
-        // With an enabled model and a 5ms poll interval, even an instant
-        // completion takes at least one interval to be observed if it
-        // lands after the first check.
-        let mut model = TimeModel::paper();
-        model.get_poll_interval = Duration::from_millis(5);
+        // Under the paper model with a 5 ms completion poll, a fill that
+        // lands 2 ms into the wait is seen at the first poll tick.
+        let config =
+            crate::NetConfig { get_poll: Some(Duration::from_millis(5)), ..Default::default() };
+        let p = Arc::new(PendingOps::with_poll(config.get_poll));
+        let id = p.register(1, 1);
+        let h = fill_later(&p, id, Duration::from_millis(2), 9);
+        let t0 = Instant::now();
+        let buf = p.wait(id, &config.model).unwrap();
+        assert_eq!(buf, vec![9]);
+        assert!(t0.elapsed() >= Duration::from_millis(5), "quantized to the poll tick");
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn notified_wait_is_not_quantized() {
+        // Paper model, no poll: the waiter wakes when the fill lands.
         let p = Arc::new(PendingOps::new());
         let id = p.register(1, 1);
+        let h = fill_later(&p, id, Duration::from_millis(5), 4);
+        let t0 = Instant::now();
+        assert_eq!(p.wait(id, &TimeModel::paper()).unwrap(), vec![4]);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(15), "notified wait took {took:?}");
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn fail_dest_during_a_polled_wait_surfaces_without_a_resend() {
+        // The failure verdict lands inside the first retry window of a
+        // paper-model, paper-poll wait: the typed error surfaces and the
+        // request is never re-sent.
+        let p = Arc::new(PendingOps::with_poll(crate::NetConfig::paper(3).get_poll));
+        let id = p.register(4, 2);
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(2));
-            p2.fill(id, 0, &[9]).unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(p2.fail_dest(2, NtbError::PeFailed { pe: 2, epoch: 7 }), 1);
         });
-        let t0 = std::time::Instant::now();
-        let buf = p.wait(id, &model).unwrap();
-        assert_eq!(buf, vec![9]);
-        assert!(t0.elapsed() >= Duration::from_millis(5), "quantized to poll interval");
+        let patient = RetryPolicy { ack_timeout: Duration::from_secs(2), ..tight_policy() };
+        let resends = AtomicU32::new(0);
+        let err = p
+            .wait_with_retry(id, &TimeModel::paper(), &patient, |_| {
+                resends.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err, NtbError::PeFailed { pe: 2, epoch: 7 });
+        assert_eq!(resends.load(Ordering::Relaxed), 0, "failure verdict cost a resend");
+        assert_eq!(p.in_flight(), 0);
         h.join().unwrap();
     }
 

@@ -5,6 +5,7 @@
 //! in place of the OpenSHMEM heap.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ntb_net::{AmoOp, DeliveryTarget, NetConfig, RingNetwork, RouteDirection};
 use ntb_sim::{Region, Result, TransferMode};
@@ -51,7 +52,12 @@ impl DeliveryTarget for TestHeap {
 }
 
 fn build(hosts: usize) -> (RingNetwork, Vec<Arc<TestHeap>>) {
-    let net = RingNetwork::build(NetConfig::fast(hosts)).unwrap();
+    build_with(NetConfig::fast(hosts))
+}
+
+fn build_with(config: NetConfig) -> (RingNetwork, Vec<Arc<TestHeap>>) {
+    let hosts = config.hosts;
+    let net = RingNetwork::build(config).unwrap();
     let heaps: Vec<Arc<TestHeap>> = (0..hosts).map(|_| TestHeap::new()).collect();
     for (i, heap) in heaps.iter().enumerate() {
         net.node(i).set_delivery(Arc::clone(heap) as Arc<dyn DeliveryTarget>);
@@ -523,4 +529,50 @@ fn amo_bad_offset_fails_typed_without_leaking_pending_entry() {
     assert_eq!(old, 0);
     assert_eq!(net.node(0).pending_in_flight(), 0);
     assert_no_errors(&net);
+}
+
+/// Wall time of each of 20 fetch-adds and 20 4 KiB gets (above the PIO
+/// crossover, so every get takes the request/response path) from host 0
+/// to host 1 of a 2-PE paper-timed ring built from `config`.
+fn amo_and_get_latencies(config: NetConfig) -> (Vec<Duration>, Vec<Duration>) {
+    let (net, heaps) = build_with(config);
+    heaps[1].region.write(0, &[3u8; 4096]).unwrap();
+    let node = net.node(0);
+    let (mut amos, mut gets) = (Vec::new(), Vec::new());
+    for i in 0..20u64 {
+        let t0 = Instant::now();
+        assert_eq!(node.amo(1, AmoOp::FetchAdd, 8192, 8, 1, 0).unwrap(), i);
+        amos.push(t0.elapsed());
+        let t0 = Instant::now();
+        assert_eq!(node.get_bytes(1, 0, 4096, TransferMode::Dma).unwrap(), vec![3u8; 4096]);
+        gets.push(t0.elapsed());
+    }
+    assert_no_errors(&net);
+    net.shutdown();
+    (amos, gets)
+}
+
+fn median(mut v: Vec<Duration>) -> Duration {
+    v.sort();
+    v[v.len() / 2]
+}
+
+/// Completion discovery is a protocol setting: under `NetConfig::paper`'s
+/// 1 ms sleep-poll every get and AMO is seen no earlier than the first
+/// poll tick (a deterministic floor: the tick is counted from the start
+/// of the wait, and the wait starts after the request is sent). The
+/// default configuration wakes the requester when the response lands: a
+/// fetch-add then takes well under one tick, and a 4 KiB get — about
+/// 1.2 ms of modelled responder and wire time, which the poll rounds up
+/// to 2 ms — stays under two.
+#[test]
+fn requesters_see_completion_on_the_paper_poll_or_when_it_lands() {
+    let (amos, gets) = amo_and_get_latencies(NetConfig::paper(2));
+    for (kind, d) in amos.iter().map(|d| ("amo", d)).chain(gets.iter().map(|d| ("get", d))) {
+        assert!(*d >= Duration::from_millis(1), "paper-poll {kind} took {d:?} (< 1 ms tick)");
+    }
+    let (amos, gets) = amo_and_get_latencies(NetConfig { hosts: 2, ..NetConfig::default() });
+    let (amo, get) = (median(amos), median(gets));
+    assert!(amo < Duration::from_micros(900), "notified fetch-add median {amo:?}");
+    assert!(get < Duration::from_micros(1900), "notified 4 KiB get median {get:?}");
 }

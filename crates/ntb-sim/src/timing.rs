@@ -79,6 +79,11 @@ impl LinkDirection {
 /// *shape and magnitude band* of the paper's Figs. 8–10 (see
 /// `EXPERIMENTS.md` for the calibration notes). They are deliberately public
 /// fields: the ablation benches sweep them.
+///
+/// Only hardware and host costs live here. How the protocol above behaves
+/// — such as whether a blocked requester sees a get's completion when it
+/// lands or on the next tick of the paper's sleep-poll — is set in
+/// `ntb_net::NetConfig` (`get_poll`).
 #[derive(Debug, Clone)]
 pub struct TimeModel {
     /// Physical link description (generation, lanes, protocol efficiency).
@@ -122,11 +127,6 @@ pub struct TimeModel {
     /// Models the "connection overheads on both sides of the NTB ports" the
     /// paper blames for the ring-vs-independent throughput gap (Fig. 8).
     pub duplex_penalty: f64,
-    /// Polling granularity of a requester blocked in `shmem_get`: the
-    /// paper's prototype discovers Get completion through a sleep-and-check
-    /// loop, which quantizes Get latency to this interval and is the main
-    /// reason its Fig. 9(b) latencies are in the tens of milliseconds.
-    pub get_poll_interval: Duration,
     /// Per-response-chunk think time at the host *serving* a Get: the
     /// service thread wakes from its sleep loop, stages the chunk and
     /// re-enters the loop between chunks.
@@ -162,7 +162,6 @@ impl TimeModel {
             local_memcpy_bandwidth: 6.0e9,
             requester_wake_delay: Duration::from_micros(25),
             duplex_penalty: 1.18,
-            get_poll_interval: Duration::from_millis(1),
             get_response_service_delay: Duration::from_micros(800),
             bypass_forward_delay: Duration::from_micros(500),
             coarse_waits: false,

@@ -76,7 +76,10 @@ impl ShmemConfig {
         ShmemConfigBuilder::new()
     }
 
-    /// Paper-scale timing (latencies comparable to the PEX testbed).
+    /// Paper-scale timing (latencies comparable to the PEX testbed), with
+    /// the paper's completion discovery: [`NetConfig::paper`] sets
+    /// `get_poll`, so a get or AMO is seen on the next tick of a 1 ms
+    /// sleep-poll rather than when its response lands.
     pub fn paper() -> Self {
         ShmemConfig {
             net: NetConfig::paper(3),
@@ -251,6 +254,9 @@ impl ShmemConfigBuilder {
     }
 
     /// Swap the timing preset to paper scale (PEX-testbed latencies).
+    /// Only the hardware costs change: requesters still wake when a
+    /// response lands (for the paper's completion poll too, start from
+    /// [`ShmemConfig::paper`]).
     pub fn paper_timing(mut self) -> Self {
         self.cfg.net.model = TimeModel::paper();
         self
